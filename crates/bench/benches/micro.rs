@@ -2,6 +2,8 @@
 //!
 //! * `crypto/*` — SHA-256, HMAC, signatures, Merkle roots (§3's
 //!   authenticated communication costs; the paper's MAC-vs-DS trade-off);
+//! * `checkpoint/*` — the state digest every checkpoint vote carries
+//!   (§5, A3), over a full 300k-key shard partition;
 //! * `lockmgr/*` — sequence-ordered lock admission (§4.3.5's π list);
 //! * `pbft/*` — a full intra-shard consensus round as a state-machine
 //!   cost (the engine every protocol embeds);
@@ -42,6 +44,12 @@ fn bench_crypto(c: &mut Criterion) {
             assert!(ks.verify_mac(me, peer, &payload, &tag));
         })
     });
+    // The MAC of a request/reply-sized data frame: domain tag, 9-byte
+    // address and a 150-byte body, the most common frame on the wire.
+    let frame_body = vec![0x5au8; 150];
+    g.bench_function("hmac_frame_150B", |b| {
+        b.iter(|| ks.mac_parts(me, peer, &[b"rbft-data", &[0u8; 9], black_box(&frame_body)]))
+    });
     g.bench_function("ds_sign_verify", |b| {
         let signer = ks.signer(me);
         b.iter(|| {
@@ -55,6 +63,19 @@ fn bench_crypto(c: &mut Criterion) {
     g.throughput(Throughput::Elements(100));
     g.bench_function("merkle_root_100", |b| {
         b.iter(|| MerkleTree::from_payloads(leaves.iter().map(|l| l.as_slice())).root())
+    });
+    g.finish();
+}
+
+fn bench_checkpoint(c: &mut Criterion) {
+    use ringbft_recovery::Snapshot;
+    use ringbft_store::KvStore;
+
+    let mut g = c.benchmark_group("checkpoint");
+    let kv = KvStore::init_partition(0..300_000);
+    g.throughput(Throughput::Elements(kv.len() as u64));
+    g.bench_function("digest_of_store_300k", |b| {
+        b.iter(|| Snapshot::digest_of_store(ShardId(0), black_box(128), &kv))
     });
     g.finish();
 }
@@ -275,6 +296,7 @@ fn bench_simnet(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crypto,
+    bench_checkpoint,
     bench_lockmgr,
     bench_pbft_round,
     bench_codec,

@@ -386,6 +386,84 @@ mod tests {
             assert_eq!(r.lock_manager().pending_len(), 0);
         }
     }
+    /// Finished cst state is retired once it falls a window below the
+    /// stable checkpoint, at the initiator and downstream alike: over
+    /// many windows no replica holds more than about two windows' worth.
+    #[test]
+    fn finished_cst_state_is_retired_across_windows() {
+        let mut cfg = small_cfg();
+        cfg.checkpoint_interval = 4;
+        let mut net = RingNet::new(cfg.clone());
+        let rounds = 40u64;
+        for round in 0..rounds {
+            let id = 1 + 2 * round;
+            net.client_send(ClientId(id), cst(&cfg, id, &[0, 1, 2], round % 50));
+            net.client_send(
+                ClientId(id + 1),
+                cst(&cfg, id + 1, &[1, 2], 50 + round % 50),
+            );
+            net.settle();
+            for r in net.replicas.values() {
+                assert!(
+                    r.cst_count() <= 2 * cfg.checkpoint_interval as usize + 2,
+                    "{} holds {} cst states after round {round}",
+                    r.id(),
+                    r.cst_count()
+                );
+            }
+        }
+        for c in 1..=2 * rounds {
+            assert_eq!(net.completed_digests(ClientId(c), 2).len(), 1, "client {c}");
+        }
+    }
+
+    /// An initiator replica that lost every wrap-around of a cst keeps
+    /// retransmitting its Forward; once the downstream shard has retired
+    /// the cst, the retired state still answers, and the replica finishes
+    /// the cst without forcing a view change.
+    #[test]
+    fn retired_downstream_cst_still_answers_a_missed_wraparound() {
+        let mut cfg = small_cfg();
+        cfg.checkpoint_interval = 4;
+        let mut net = RingNet::new(cfg.clone());
+        let lagging = ReplicaId::new(ShardId(0), 3);
+        net.drop_filter = Some(Box::new(move |_, to, m| {
+            to == NodeId::Replica(lagging)
+                && matches!(m, RingMsg::Forward(f) | RingMsg::ForwardShare(f)
+                    if f.from_shard == ShardId(1))
+        }));
+        net.client_send(ClientId(1), cst(&cfg, 1, &[0, 1], 7));
+        net.settle();
+        net.drop_filter = None;
+        assert_eq!(net.completed_digests(ClientId(1), 2).len(), 1);
+        assert_eq!(net.replicas[&lagging].cst_count(), 1);
+        // Enough windows for shard 1 to retire the cst.
+        for id in 2..14u64 {
+            net.client_send(ClientId(id), cst(&cfg, id, &[0, 1], 10 + id));
+            net.settle();
+        }
+        for i in 0..4 {
+            let held = net.replicas[&ReplicaId::new(ShardId(1), i)].cst_count();
+            assert!(
+                held <= 2 * cfg.checkpoint_interval as usize,
+                "S1r{i} holds {held}"
+            );
+        }
+        assert_eq!(net.replicas[&lagging].cst_count(), 1);
+        net.fire_all_timers(TimerKind::Transmit);
+        net.settle();
+        assert_eq!(
+            net.replicas[&lagging].cst_count(),
+            0,
+            "wrap-around recovered"
+        );
+        assert!(
+            net.view_log.is_empty(),
+            "no view change: {:?}",
+            net.view_log
+        );
+    }
+
     #[test]
     fn ablation_quadratic_forward_still_correct() {
         // The ablation changes the communication pattern, not semantics:

@@ -289,6 +289,12 @@ pub struct RingReplica {
     remote_complaints: HashMap<Digest, HashSet<u32>>,
     /// Digests whose complaints already forced a view change.
     remote_vc_done: HashSet<Digest>,
+    /// Finished csts this shard retired downstream of their initiator,
+    /// with the retirement time. Kept for the initiator's whole
+    /// retransmission schedule: a replica there that missed the
+    /// wrap-around keeps re-sending its Forward, which is answered from
+    /// here instead of re-entering consensus as new work.
+    retired: HashMap<Digest, Instant>,
     // --- checkpointing & recovery (§5 A3, `ringbft-recovery`) ---
     /// Highest sequence number such that *every* sequence up to it has
     /// executed on this replica. Checkpoints wait for the watermark so
@@ -455,6 +461,7 @@ impl RingReplica {
             last_view_entry: Instant::ZERO,
             remote_complaints: HashMap::new(),
             remote_vc_done: HashSet::new(),
+            retired: HashMap::new(),
             exec_watermark: 0,
             executed_ahead: BTreeSet::new(),
             pending_effects: BTreeMap::new(),
@@ -1771,6 +1778,32 @@ impl RingReplica {
                 self.ledger.prune_through_seq(seq);
                 let horizon = seq.saturating_sub(2 * self.cfg.checkpoint_interval);
                 self.done.rotate();
+                // Finished csts a full window below the stable point are
+                // retired: executed, unlocked, and either answered or
+                // held downstream of the initiator, which never replies.
+                // Nothing else frees a downstream shard's state (batch
+                // plus Forward payload) short of a snapshot install.
+                let floor = seq.saturating_sub(self.cfg.checkpoint_interval);
+                let finished: Vec<(Digest, bool)> = self
+                    .csts
+                    .iter()
+                    .filter_map(|(d, c)| {
+                        let downstream = self.ring.first(&c.involved) != self.me.shard;
+                        (c.executed
+                            && !c.locked
+                            && c.local_seq.is_some_and(|s| s <= floor)
+                            && (c.replied || downstream))
+                            .then_some((*d, downstream))
+                    })
+                    .collect();
+                for (d, downstream) in finished {
+                    self.drop_cst(d, out);
+                    if downstream {
+                        self.retired.insert(d, self.obs_now);
+                    }
+                }
+                let (now, keep) = (self.obs_now, self.retransmit_horizon());
+                self.retired.retain(|_, at| now.since(*at) < keep);
                 self.obs
                     .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
                 self.obs.trace.push(
@@ -1967,16 +2000,7 @@ impl RingReplica {
             .map(|(d, _)| *d)
             .collect();
         for d in stale {
-            if let Some(c) = self.csts.remove(&d) {
-                if c.local_seq.is_some() {
-                    // Finished work: keep the replay-dedup entry.
-                    self.done.insert(&d);
-                }
-                self.token_digest.remove(&c.token);
-                out.cancel_timer(TimerKind::Local, c.token);
-                out.cancel_timer(TimerKind::Remote, c.token);
-                out.cancel_timer(TimerKind::Transmit, c.token);
-            }
+            self.drop_cst(d, out);
         }
         self.work.retain(|s, _| *s > seq);
         // Commit→execute clocks for subsumed sequences never close.
@@ -2468,6 +2492,10 @@ impl RingReplica {
         out: &mut Outbox<RingMsg>,
     ) {
         let digest = fwd.digest;
+        if self.retired.contains_key(&digest) {
+            self.answer_retired_forward(from, fwd, direct, out);
+            return;
+        }
         if self.done.contains(&digest) {
             return;
         }
@@ -2764,6 +2792,77 @@ impl RingReplica {
         }
     }
 
+    /// How long an initiator replica keeps retransmitting a Forward it
+    /// got no wrap-around for: every Transmit firing plus one more
+    /// interval of slack.
+    fn retransmit_horizon(&self) -> Duration {
+        self.cfg.timers.transmit * (u64::from(MAX_RETRANSMITS) + 1)
+    }
+
+    /// A Forward for a simple cst this shard retired: a replica of the
+    /// previous shard lacks the fate notification and is retransmitting
+    /// (§5.1.1). The retired state is gone, so the received batch is
+    /// re-forwarded to every replica of the next shard, after sharing
+    /// a direct Forward shard-wide so that f+1 of us answer. Replicas
+    /// that already finished the cst drop the answer as a replay.
+    fn answer_retired_forward(
+        &mut self,
+        from: ReplicaId,
+        fwd: ForwardMsg,
+        direct: bool,
+        out: &mut Outbox<RingMsg>,
+    ) {
+        let involved = fwd.batch.involved_shards();
+        let prev = self.ring.prev(&involved, self.me.shard);
+        if fwd.from_shard != prev
+            || fwd.cert_signers.len() < self.cfg.shard(prev).nf()
+            || fwd.batch.remote_read_count() != 0
+        {
+            return;
+        }
+        if direct {
+            if from.shard != prev {
+                return;
+            }
+            out.multicast(self.shard_replicas(), &RingMsg::ForwardShare(fwd.clone()));
+        }
+        let next = self.ring.next(&involved, self.me.shard);
+        let nf = self.cfg.shard(self.me.shard).nf();
+        let answer = RingMsg::Forward(ForwardMsg {
+            batch: fwd.batch,
+            digest: fwd.digest,
+            from_shard: self.me.shard,
+            cert_signers: (0..nf as u32).collect(),
+            deps: Vec::new(),
+            hop: fwd.hop.saturating_add(1),
+        });
+        let dsts: Vec<NodeId> = self
+            .cfg
+            .shard(next)
+            .replicas()
+            .map(NodeId::Replica)
+            .collect();
+        self.obs.forwards_sent(dsts.len() as u64);
+        out.multicast(dsts, &answer);
+    }
+
+    /// Drops cst `digest` with its watchdogs. Work this shard committed
+    /// keeps its replay-dedup entry.
+    fn drop_cst(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
+        let Some(c) = self.csts.remove(&digest) else {
+            return;
+        };
+        if c.local_seq.is_some() {
+            self.done.insert(&digest);
+        }
+        self.token_digest.remove(&c.token);
+        out.cancel_timer(TimerKind::Local, c.token);
+        out.cancel_timer(TimerKind::Remote, c.token);
+        out.cancel_timer(TimerKind::Transmit, c.token);
+        self.cst_commit_at.remove(&digest);
+        self.cst_fwd_at.remove(&digest);
+    }
+
     fn finish_cst(&mut self, digest: Digest, token: u64) {
         self.token_digest.remove(&token);
         self.csts.remove(&digest);
@@ -2857,7 +2956,8 @@ impl RingReplica {
             .get(&digest)
             .map(|c| c.committed_local && (c.locked || c.executed))
             .unwrap_or(false)
-            || self.done.contains(&digest);
+            || self.done.contains(&digest)
+            || self.retired.contains_key(&digest);
         if committed {
             // We replicated the cst — the next shard's starvation was a
             // network loss, not a suppressing primary. Re-transmit

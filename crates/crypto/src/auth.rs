@@ -18,7 +18,7 @@
 //! costs of sign/verify are charged separately by the simulator's cost
 //! model, so performance shapes are unaffected by the substitution.
 
-use crate::hmac::{digest_eq, hmac_sha256_parts};
+use crate::hmac::{digest_eq, HmacKey};
 use crate::sha256::Digest;
 use ringbft_types::{ClientId, NodeId, ReplicaId, ShardId};
 
@@ -56,56 +56,59 @@ fn encode_node(node: NodeId, out: &mut [u8; 13]) {
 /// Central key-distribution oracle of the simulation. Derives pairwise MAC
 /// keys and per-node signing keys deterministically from a master secret,
 /// so two [`KeyStore`]s created with the same seed agree on every key.
+/// `Debug` prints no key material.
 #[derive(Debug, Clone)]
 pub struct KeyStore {
-    master: [u8; 32],
+    master: HmacKey,
 }
 
 impl KeyStore {
     /// Creates a key store from a 32-byte master secret.
     pub fn new(master: [u8; 32]) -> Self {
-        KeyStore { master }
+        KeyStore {
+            master: HmacKey::new(&master),
+        }
     }
 
     /// Creates a key store from a seed integer (tests, simulations).
     pub fn from_seed(seed: u64) -> Self {
         let mut master = [0u8; 32];
         master[..8].copy_from_slice(&seed.to_le_bytes());
-        KeyStore {
-            master: crate::sha256::sha256(&master),
-        }
+        Self::new(crate::sha256::sha256(&master))
     }
 
     /// The symmetric key shared by the unordered pair `{a, b}`.
-    fn pair_key(&self, a: NodeId, b: NodeId) -> Digest {
+    fn pair_key(&self, a: NodeId, b: NodeId) -> HmacKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let mut ea = [0u8; 13];
         let mut eb = [0u8; 13];
         encode_node(lo, &mut ea);
         encode_node(hi, &mut eb);
-        hmac_sha256_parts(&self.master, &[b"mac-pair", &ea, &eb])
+        HmacKey::new(&self.master.mac_parts(&[b"mac-pair", &ea, &eb]))
     }
 
     /// The signing key of `node` (kept "private" by construction: protocol
     /// code receives only a [`Signer`] bound to its own identity).
-    fn signing_key(&self, node: NodeId) -> Digest {
+    fn signing_key(&self, node: NodeId) -> HmacKey {
+        HmacKey::new(&self.signing_secret(node))
+    }
+
+    fn signing_secret(&self, node: NodeId) -> Digest {
         let mut e = [0u8; 13];
         encode_node(node, &mut e);
-        hmac_sha256_parts(&self.master, &[b"sign", &e])
+        self.master.mac_parts(&[b"sign", &e])
     }
 
     /// Computes the MAC `from → to` over `msg`.
     pub fn mac(&self, from: NodeId, to: NodeId, msg: &[u8]) -> MacTag {
-        let key = self.pair_key(from, to);
-        MacTag(hmac_sha256_parts(&key, &[msg]))
+        MacTag(self.pair_key(from, to).mac(msg))
     }
 
     /// Computes the MAC `from → to` over the concatenation of `parts`
     /// without copying them into one buffer — used by the frame codec
     /// to prepend a domain tag to large bodies.
     pub fn mac_parts(&self, from: NodeId, to: NodeId, parts: &[&[u8]]) -> MacTag {
-        let key = self.pair_key(from, to);
-        MacTag(hmac_sha256_parts(&key, parts))
+        MacTag(self.pair_key(from, to).mac_parts(parts))
     }
 
     /// Verifies a MAC received by `to` from claimed sender `from`.
@@ -116,17 +119,15 @@ impl KeyStore {
     /// Signs `msg` as `signer`. Prefer handing protocol code a [`Signer`]
     /// so it cannot sign under foreign identities.
     pub fn sign(&self, signer: NodeId, msg: &[u8]) -> Signature {
-        let key = self.signing_key(signer);
         Signature {
             signer,
-            tag: hmac_sha256_parts(&key, &[msg]),
+            tag: self.signing_key(signer).mac(msg),
         }
     }
 
     /// Verifies a signature against the identity it claims.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let key = self.signing_key(sig.signer);
-        digest_eq(&hmac_sha256_parts(&key, &[msg]), &sig.tag)
+        digest_eq(&self.signing_key(sig.signer).mac(msg), &sig.tag)
     }
 
     /// Derives a signer handle bound to `id` — the per-node "private key".
@@ -140,11 +141,12 @@ impl KeyStore {
 
 /// A signing handle bound to a single identity. This is what protocol code
 /// receives; it mirrors a node holding its own private key and makes
-/// cross-identity forgery impossible by construction.
+/// cross-identity forgery impossible by construction. `Debug` prints no
+/// key material.
 #[derive(Debug, Clone)]
 pub struct Signer {
     id: NodeId,
-    key: Digest,
+    key: HmacKey,
 }
 
 impl Signer {
@@ -157,7 +159,7 @@ impl Signer {
     pub fn sign(&self, msg: &[u8]) -> Signature {
         Signature {
             signer: self.id,
-            tag: hmac_sha256_parts(&self.key, &[msg]),
+            tag: self.key.mac(msg),
         }
     }
 }
@@ -230,5 +232,41 @@ mod tests {
         let c = NodeId::Client(ClientId(0));
         let r = replica(0, 0);
         assert_ne!(ks.sign(c, b"m").tag, ks.sign(r, b"m").tag);
+    }
+
+    /// Signatures and MACs are pinned to their values before keys were
+    /// held as HMAC midstates.
+    #[test]
+    fn sign_and_mac_golden() {
+        let ks = KeyStore::from_seed(7);
+        let from = replica(1, 2);
+        let body: Vec<u8> = (0..150u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(
+            crate::sha256::to_hex(&ks.sign(from, b"forward golden").tag),
+            "fa813d791291f8791e2efd7f66b06996c5118c3d277ed49cb6266a446c0f5f4b"
+        );
+        assert_eq!(
+            crate::sha256::to_hex(&ks.mac(from, replica(0, 3), &body).0),
+            "bd452a5d190c051b96e81d009f6ac18eb2869244111e8272f465fb03fa46fa31"
+        );
+    }
+
+    /// Debug output shows neither the master secret nor a signing key,
+    /// in hex or as a byte list.
+    #[test]
+    fn debug_output_holds_no_key_bytes() {
+        let mut seed = [0u8; 32];
+        seed[..8].copy_from_slice(&7u64.to_le_bytes());
+        let master = crate::sha256::sha256(&seed);
+        let ks = KeyStore::from_seed(7);
+        let r = replica(0, 1);
+        let signing = ks.signing_secret(r);
+        let shown = format!("{ks:?} {:?} {:#?}", ks.signer(r), ks.signer(r));
+        for secret in [master, signing] {
+            assert!(!shown.contains(&crate::sha256::to_hex(&secret)), "{shown}");
+            let head = format!("{:?}", &secret[..4]);
+            assert!(!shown.contains(head.trim_matches(['[', ']'])), "{shown}");
+        }
+        assert!(shown.contains("<redacted>"), "{shown}");
     }
 }

@@ -4,9 +4,69 @@
 //! pairwise MACs used for intra-shard messages and the deterministic
 //! signature scheme used for cross-shard messages (see [`crate::auth`]).
 
-use crate::sha256::{Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{Backend, Digest, Sha256, DIGEST_LEN};
+use std::fmt;
 
 const BLOCK_LEN: usize = 64;
+
+/// An HMAC-SHA256 key, held as the SHA-256 midstates after the
+/// `key ⊕ ipad` and `key ⊕ opad` blocks: each MAC under it skips those
+/// two compressions. `Debug` prints no key material.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Prepares `key` (RFC 2104: keys longer than a block are hashed
+    /// first, shorter ones zero-padded).
+    pub fn new(key: &[u8]) -> HmacKey {
+        Self::on(Backend::detect(), key)
+    }
+
+    pub(crate) fn on(backend: Backend, key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let mut h = Sha256::with_backend(backend);
+            h.update(key);
+            k[..DIGEST_LEN].copy_from_slice(&h.finalize());
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
+            let mut h = Sha256::with_backend(backend);
+            h.update(&k.map(|b| b ^ byte));
+            h
+        };
+        HmacKey {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, msg₀ ‖ msg₁ ‖ …)` without concatenating.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = self.inner.clone();
+        for p in parts {
+            inner.update(p);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
+    /// `HMAC-SHA256(key, msg)`.
+    pub fn mac(&self, msg: &[u8]) -> Digest {
+        self.mac_parts(&[msg])
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
 
 /// Computes `HMAC-SHA256(key, msg)`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
@@ -14,38 +74,9 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
 }
 
 /// Computes `HMAC-SHA256(key, msg₀ ‖ msg₁ ‖ …)` without concatenating.
+/// Prefer a kept [`HmacKey`] when one key MACs many messages.
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
-    // Keys longer than the block size are hashed first.
-    let mut k = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let kh = {
-            let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
-        };
-        k[..DIGEST_LEN].copy_from_slice(&kh);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for p in parts {
-        inner.update(p);
-    }
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac_parts(parts)
 }
 
 /// Constant-time equality for digests. The simulator is not subject to real
@@ -62,53 +93,80 @@ pub fn digest_eq(a: &Digest, b: &Digest) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::to_hex;
+    use crate::sha256::tests::backends;
+    use crate::sha256::{sha256, to_hex};
 
-    /// RFC 4231 test case 1.
+    /// RFC 4231 vectors (key, data, HMAC-SHA256), checked on every block
+    /// function: cases 1–3 and 6 (a key longer than the block).
     #[test]
-    fn rfc4231_case1() {
-        let key = [0x0bu8; 20];
-        let mac = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            to_hex(&mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+    fn rfc4231_on_every_backend() {
+        let long = b"Test Using Larger Than Block-Size Key - Hash Key First";
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                long,
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, data, want) in cases {
+            for b in backends() {
+                assert_eq!(to_hex(&HmacKey::on(b, key).mac(data)), want, "{b:?}");
+            }
+        }
     }
 
-    /// RFC 4231 test case 2 ("Jefe").
-    #[test]
-    fn rfc4231_case2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            to_hex(&mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    /// RFC 2104 spelled out with one-shot hashes over concatenated
+    /// buffers: the reference the midstate path is checked against.
+    fn hmac_reference(key: &[u8], msg: &[u8]) -> Digest {
+        let mut k = if key.len() > BLOCK_LEN {
+            sha256(key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        k.resize(BLOCK_LEN, 0);
+        let mut inner: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(msg);
+        let mut outer: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&sha256(&inner));
+        sha256(&outer)
     }
 
-    /// RFC 4231 test case 3 (0xaa key, 0xdd data).
     #[test]
-    fn rfc4231_case3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        let mac = hmac_sha256(&key, &data);
-        assert_eq!(
-            to_hex(&mac),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+    fn hmac_key_matches_reference_for_every_key_length_class() {
+        let msg: Vec<u8> = (0..150u8).collect();
+        for len in [0usize, 32, 64, 100] {
+            let key: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
+            let want = hmac_reference(&key, &msg);
+            assert_eq!(hmac_sha256_parts(&key, &[&msg[..7], &msg[7..]]), want);
+            for b in backends() {
+                let hk = HmacKey::on(b, &key);
+                assert_eq!(hk.mac(&msg), want, "key len {len}, {b:?}");
+                // A kept key MACs many messages: midstates are not consumed.
+                assert_eq!(hk.mac_parts(&[&msg[..90], &msg[90..]]), want);
+            }
+        }
     }
 
-    /// RFC 4231 test case 6: key larger than block size.
     #[test]
-    fn rfc4231_case6_long_key() {
-        let key = [0xaau8; 131];
-        let mac = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            to_hex(&mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn hmac_key_debug_is_redacted() {
+        let key = [0x41u8; 32];
+        let shown = format!("{:?}", HmacKey::new(&key));
+        assert_eq!(shown, "HmacKey(<redacted>)");
     }
 
     #[test]

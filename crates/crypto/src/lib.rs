@@ -3,10 +3,18 @@
 //! Everything is implemented from scratch on top of our own SHA-256:
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (validated against NIST vectors).
-//! * [`hmac`] — HMAC-SHA256 (validated against RFC 4231 vectors).
+//!   Runs of whole blocks go to one block function chosen once per
+//!   process by CPU detection: the x86-64 SHA extensions (SHA-NI) when
+//!   present, else the portable function, which is also the reference
+//!   the accelerated one is tested against. Digests are identical.
+//! * [`hmac`] — HMAC-SHA256 (validated against RFC 4231 vectors). A
+//!   [`hmac::HmacKey`] keeps the key's ipad/opad midstates, so each MAC
+//!   under a kept key costs two compressions less than keying afresh.
 //! * [`auth`] — the paper's two authentication schemes: pairwise MACs for
 //!   intra-shard messages, signature scheme with non-repudiation for
-//!   cross-shard messages (§3), plus the [`auth::KeyStore`] oracle.
+//!   cross-shard messages (§3), plus the [`auth::KeyStore`] oracle, which
+//!   holds its master secret (and each [`Signer`] its signing key) as an
+//!   [`hmac::HmacKey`]. Their `Debug` output prints no key material.
 //! * [`merkle`] — Merkle trees for block roots (§7).
 //!
 //! See DESIGN.md for the signature-scheme substitution note.

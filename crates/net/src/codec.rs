@@ -691,6 +691,27 @@ mod tests {
         }
     }
 
+    /// A data-frame prefix (header, address, MAC over a 150-byte body)
+    /// is pinned byte for byte to its value before the HMAC kept key
+    /// midstates and the hasher gained a hardware block function.
+    #[test]
+    fn frame_prefix_golden() {
+        let body: Vec<u8> = (0..150u32).map(|i| (i * 7 + 3) as u8).collect();
+        let from = NodeId::Replica(ReplicaId::new(ShardId(1), 2));
+        let prefix = frame_prefix(
+            from,
+            NodeId::Client(ClientId(77)),
+            &body,
+            &FrameAuth::from_seed(42),
+        );
+        let hex: String = prefix.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "524246540600000096000000014d00000000000000\
+             a59e57a7d7913f95795489bcd2ccb313ca1c952280a0e6474f5ade2af017f35f"
+        );
+    }
+
     #[test]
     fn frame_round_trips() {
         let env = sample_env();

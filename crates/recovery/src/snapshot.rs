@@ -58,15 +58,8 @@ impl Snapshot {
         ledger_height: u64,
         ledger_head: Digest,
     ) -> Snapshot {
-        let mut records: Vec<RecordEntry> = kv
-            .iter()
-            .map(|(key, r)| RecordEntry {
-                key,
-                value: r.value,
-                version: r.version,
-            })
-            .collect();
-        records.sort_unstable_by_key(|r| r.key);
+        let mut records = Vec::with_capacity(kv.len());
+        records.extend(entries(kv));
         Snapshot {
             shard,
             seq,
@@ -84,39 +77,21 @@ impl Snapshot {
     /// so chain heads are replica-local and must not block checkpoint
     /// agreement.
     pub fn digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"ringbft-snapshot");
-        h.update(&self.shard.0.to_le_bytes());
-        h.update(&self.seq.to_le_bytes());
-        h.update(&(self.records.len() as u64).to_le_bytes());
-        for r in &self.records {
-            h.update(&r.key.to_le_bytes());
-            h.update(&r.value.to_le_bytes());
-            h.update(&r.version.to_le_bytes());
-        }
-        h.finalize()
+        digest_records(
+            self.shard,
+            self.seq,
+            self.records.len(),
+            self.records.iter().copied(),
+        )
     }
 
     /// The digest [`Snapshot::capture`]`(shard, seq, kv, ..).digest()`
     /// would produce, computed straight off the store — the checkpoint
     /// hot path for *delta* windows, where no full record list is
-    /// materialized. Only the sorted key index (8 bytes/key, transient)
-    /// is allocated; record content is streamed into the hash.
+    /// materialized: the store's records stream into the hash in key
+    /// order.
     pub fn digest_of_store(shard: ShardId, seq: u64, kv: &KvStore) -> Digest {
-        let mut keys: Vec<Key> = kv.iter().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        let mut h = Sha256::new();
-        h.update(b"ringbft-snapshot");
-        h.update(&shard.0.to_le_bytes());
-        h.update(&seq.to_le_bytes());
-        h.update(&(keys.len() as u64).to_le_bytes());
-        for k in keys {
-            let r = kv.get(k).expect("key from the store's own iterator");
-            h.update(&k.to_le_bytes());
-            h.update(&r.value.to_le_bytes());
-            h.update(&r.version.to_le_bytes());
-        }
-        h.finalize()
+        digest_records(shard, seq, kv.len(), entries(kv))
     }
 
     /// Rebuilds the key-value store this snapshot captured.
@@ -347,6 +322,49 @@ impl ChainTransfer {
     }
 }
 
+/// The store's records as entries, ascending by key.
+fn entries(kv: &KvStore) -> impl Iterator<Item = RecordEntry> + '_ {
+    kv.iter().map(|(key, r)| RecordEntry {
+        key,
+        value: r.value,
+        version: r.version,
+    })
+}
+
+/// The canonical state encoding behind every snapshot digest: a domain
+/// tag, `shard`, `seq`, the record count `len`, then each record's
+/// `key ‖ value ‖ version` (little-endian) in ascending key order.
+/// Records are packed into a buffer of whole SHA-256 blocks, so the
+/// hasher compresses long runs per call.
+fn digest_records(
+    shard: ShardId,
+    seq: u64,
+    len: usize,
+    records: impl Iterator<Item = RecordEntry>,
+) -> Digest {
+    const RECORD: usize = 24;
+    let mut h = Sha256::new();
+    h.update(b"ringbft-snapshot");
+    h.update(&shard.0.to_le_bytes());
+    h.update(&seq.to_le_bytes());
+    h.update(&(len as u64).to_le_bytes());
+    // 64 records = 24 SHA-256 blocks.
+    let mut buf = [0u8; RECORD * 64];
+    let mut n = 0;
+    for r in records {
+        buf[n..n + 8].copy_from_slice(&r.key.to_le_bytes());
+        buf[n + 8..n + 16].copy_from_slice(&r.value.to_le_bytes());
+        buf[n + 16..n + RECORD].copy_from_slice(&r.version.to_le_bytes());
+        n += RECORD;
+        if n == buf.len() {
+            h.update(&buf);
+            n = 0;
+        }
+    }
+    h.update(&buf[..n]);
+    h.finalize()
+}
+
 fn apply(records: &[RecordEntry], kv: &mut KvStore) {
     for r in records {
         kv.insert_record(
@@ -406,6 +424,32 @@ mod tests {
         assert_ne!(
             Snapshot::digest_of_store(ShardId(3), 17, &kv),
             snap.digest()
+        );
+    }
+
+    /// The state digest the checkpoint votes and WAL replay compare is
+    /// pinned to its value before the store kept records in key order
+    /// and the hasher gained a hardware block function.
+    #[test]
+    fn digest_of_store_golden() {
+        let mut kv = KvStore::init_partition(1000..3000);
+        for k in (0..5000u64).step_by(7) {
+            kv.put(k, k * 31 + 5);
+        }
+        kv.put(1003, 9);
+        assert_eq!(kv.len(), 2429);
+        let d = Snapshot::digest_of_store(ShardId(1), 256, &kv);
+        assert_eq!(
+            ringbft_crypto::to_hex(&d),
+            "ecf87c03b821fbfc91292cbe24c6c62aecbea2315d7a4df26196c1cd9ab3a0e7"
+        );
+        assert_eq!(
+            Snapshot::capture(ShardId(1), 256, &kv, 0, [0; 32]).digest(),
+            d
+        );
+        assert_eq!(
+            ringbft_crypto::to_hex(&Snapshot::digest_of_store(ShardId(0), 0, &KvStore::new())),
+            "86a42c953046e581634383035cab09c5af9e4df6e9d3071f7b423de42083df89"
         );
     }
 

@@ -7,7 +7,7 @@
 
 use ringbft_types::txn::{Key, Operation, OperationKind, Transaction, Value};
 use ringbft_types::ShardId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A versioned record.
@@ -20,10 +20,41 @@ pub struct Record {
     pub version: u64,
 }
 
+/// Keys per chunk: one bit of a chunk's `u64` presence bitmap each.
+const CHUNK_KEYS: u64 = 64;
+
+/// The records of keys `64·c .. 64·c + 64` for one chunk index `c`.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    /// Bit `i` is set when key `64·c + i` is present.
+    present: u64,
+    /// The present keys' records, ascending by key: the record of bit
+    /// `i` sits at index `(present & ((1 << i) - 1)).count_ones()`.
+    records: Vec<Record>,
+}
+
+impl Chunk {
+    /// Index into `records` that key bit `bit` has, or would take.
+    fn slot(&self, bit: u64) -> usize {
+        (self.present & ((1u64 << bit) - 1)).count_ones() as usize
+    }
+
+    fn has(&self, bit: u64) -> bool {
+        self.present & (1u64 << bit) != 0
+    }
+}
+
 /// One shard's partition of the table.
+///
+/// Records are kept in key order, in chunks of 64 consecutive keys: a
+/// presence bitmap plus the present records packed in a `Vec`. Iteration
+/// is in ascending key order without sorting, and a store of mostly
+/// contiguous keys costs little more than its 16-byte records.
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
-    records: HashMap<Key, Record>,
+    chunks: BTreeMap<u64, Chunk>,
+    /// Records held (the sum of every chunk's popcount).
+    len: usize,
 }
 
 /// Result of executing a transaction fragment: the updated write set this
@@ -45,9 +76,9 @@ impl KvStore {
     /// Initializes the shard's partition: every key in `range` gets a
     /// deterministic initial value, identical across replicas.
     pub fn init_partition(range: Range<Key>) -> Self {
-        let mut records = HashMap::with_capacity((range.end - range.start) as usize);
+        let mut kv = KvStore::new();
         for key in range {
-            records.insert(
+            kv.insert_record(
                 key,
                 Record {
                     value: initial_value(key),
@@ -55,45 +86,66 @@ impl KvStore {
                 },
             );
         }
-        KvStore { records }
+        kv
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True when the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Reads a record.
     pub fn get(&self, key: Key) -> Option<Record> {
-        self.records.get(&key).copied()
+        let chunk = self.chunks.get(&(key / CHUNK_KEYS))?;
+        let bit = key % CHUNK_KEYS;
+        chunk.has(bit).then(|| chunk.records[chunk.slot(bit)])
     }
 
-    /// Iterates all `(key, record)` pairs in unspecified order (snapshot
-    /// capture sorts; see `ringbft-recovery`).
+    /// Iterates all `(key, record)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Record)> + '_ {
-        self.records.iter().map(|(k, r)| (*k, *r))
+        self.chunks.iter().flat_map(|(&c, chunk)| {
+            SetBits(chunk.present)
+                .zip(&chunk.records)
+                .map(move |(bit, r)| (c * CHUNK_KEYS + bit, *r))
+        })
     }
 
     /// Installs a record verbatim, version included — used when
     /// restoring a checkpoint snapshot, where the donor's version
     /// counters must be preserved exactly.
     pub fn insert_record(&mut self, key: Key, record: Record) {
-        self.records.insert(key, record);
+        *self.entry(key) = record;
     }
 
     /// Writes a record, bumping its version. Inserts if missing.
     pub fn put(&mut self, key: Key, value: Value) {
-        let rec = self.records.entry(key).or_insert(Record {
-            value: 0,
-            version: 0,
-        });
+        let rec = self.entry(key);
         rec.value = value;
         rec.version += 1;
+    }
+
+    /// The record of `key`, inserted as `{0, version 0}` if missing.
+    fn entry(&mut self, key: Key) -> &mut Record {
+        let chunk = self.chunks.entry(key / CHUNK_KEYS).or_default();
+        let bit = key % CHUNK_KEYS;
+        let slot = chunk.slot(bit);
+        if !chunk.has(bit) {
+            chunk.present |= 1u64 << bit;
+            chunk.records.insert(
+                slot,
+                Record {
+                    value: 0,
+                    version: 0,
+                },
+            );
+            self.len += 1;
+        }
+        &mut chunk.records[slot]
     }
 
     /// Executes the fragment of `txn` owned by `shard`, deterministically.
@@ -144,10 +196,25 @@ impl KvStore {
     /// A content digest input: deterministic fold over `(key, value,
     /// version)` for state-equality checks in tests. (Order-independent.)
     pub fn state_fingerprint(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|(k, r)| mix(mix(*k, r.value), r.version))
+        self.iter()
+            .map(|(k, r)| mix(mix(k, r.value), r.version))
             .fold(0u64, u64::wrapping_add)
+    }
+}
+
+/// The set bit positions of a word, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(u64::from(bit))
     }
 }
 
@@ -257,5 +324,72 @@ mod tests {
         kv21.execute_fragment(&t2, shard, &[]);
         kv21.execute_fragment(&t1, shard, &[]);
         assert_ne!(kv12.state_fingerprint(), kv21.state_fingerprint());
+    }
+
+    #[test]
+    fn chunk_edges_and_versions() {
+        let mut kv = KvStore::new();
+        for k in [u64::MAX, 0, 63, 64, 127, 128, 1 << 40] {
+            kv.put(k, k ^ 1);
+        }
+        kv.put(63, 5);
+        kv.insert_record(
+            64,
+            Record {
+                value: 9,
+                version: 7,
+            },
+        );
+        assert_eq!(kv.len(), 7);
+        assert_eq!(
+            kv.get(63),
+            Some(Record {
+                value: 5,
+                version: 2
+            })
+        );
+        assert_eq!(
+            kv.get(64),
+            Some(Record {
+                value: 9,
+                version: 7
+            })
+        );
+        assert_eq!(kv.get(u64::MAX).map(|r| r.value), Some(u64::MAX ^ 1));
+        assert_eq!(kv.get(62), None);
+        let keys: Vec<Key> = kv.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [0, 63, 64, 127, 128, 1 << 40, u64::MAX]);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        /// Against a `HashMap` model: `iter` yields exactly the written
+        /// keys in ascending order with their latest records, and `len`
+        /// stays exact, for keys clustered in a few chunks or spread wide.
+        #[test]
+        fn iter_is_key_ordered_and_len_exact(
+            writes in proptest::collection::vec((0u64..4, 0u64..300, any::<u64>()), 0..400),
+        ) {
+            let mut kv = KvStore::new();
+            let mut model: HashMap<Key, Record> = HashMap::new();
+            for (spread, k, v) in writes {
+                let key = k << (spread * 20);
+                kv.put(key, v);
+                let r = model.entry(key).or_insert(Record { value: 0, version: 0 });
+                r.value = v;
+                r.version += 1;
+                prop_assert_eq!(kv.len(), model.len());
+            }
+            let got: Vec<(Key, Record)> = kv.iter().collect();
+            let mut want: Vec<(Key, Record)> = model.into_iter().collect();
+            want.sort_unstable_by_key(|(k, _)| *k);
+            prop_assert_eq!(got, want);
+        }
     }
 }
