@@ -311,7 +311,7 @@ impl AhlReplica {
             self.drive(
                 now,
                 |p, po, ev| {
-                    p.propose(batch, po, ev);
+                    p.propose(now, batch, po, ev);
                 },
                 out,
             );
@@ -405,7 +405,7 @@ impl AhlReplica {
             self.drive(
                 now,
                 |p, po, ev| {
-                    p.propose(batch, po, ev);
+                    p.propose(now, batch, po, ev);
                 },
                 out,
             );
@@ -456,7 +456,7 @@ impl AhlReplica {
                 self.drive(
                     now,
                     |p, po, ev| {
-                        p.propose(batch, po, ev);
+                        p.propose(now, batch, po, ev);
                     },
                     out,
                 );

@@ -246,7 +246,7 @@ impl SharperReplica {
             self.drive(
                 now,
                 |p, po, ev| {
-                    p.propose(batch, po, ev);
+                    p.propose(now, batch, po, ev);
                 },
                 out,
             );

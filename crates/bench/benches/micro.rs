@@ -134,9 +134,7 @@ fn bench_pbft_round(c: &mut Criterion) {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    use ringbft_net::codec::{
-        encode_body, encode_frame, frame_prefix, read_frame, Envelope, FrameAssembler, FrameAuth,
-    };
+    use ringbft_net::codec::{encode_body, frame_prefix, FrameAssembler, FrameAuth};
     use ringbft_pbft::{batch_digest as digest_of, PbftMsg};
     use ringbft_sim::AnyMsg;
     use ringbft_types::{SeqNum, ViewNum};
@@ -157,16 +155,17 @@ fn bench_codec(c: &mut Criterion) {
         batch,
     }));
     let trace = None;
-    let env = Envelope {
-        from,
-        to: peers[0],
-        msg: msg.clone(),
-        trace,
+    // One whole frame for one peer: the body behind its prefix.
+    let encode_frame = |to: NodeId| {
+        let body = encode_body(from, black_box(&msg), &trace).expect("encode body");
+        let mut frame = frame_prefix(from, to, &body, &auth).to_vec();
+        frame.extend_from_slice(&body);
+        frame
     };
-    let frame = encode_frame(&env, &auth).expect("encode");
+    let frame = encode_frame(peers[0]);
     g.throughput(Throughput::Bytes(frame.len() as u64));
     g.bench_function("encode_unicast_preprepare100", |b| {
-        b.iter(|| encode_frame(black_box(&env), &auth).expect("encode"))
+        b.iter(|| encode_frame(black_box(peers[0])))
     });
     g.bench_function("encode_body_preprepare100", |b| {
         b.iter(|| encode_body(from, black_box(&msg), &trace).expect("encode body"))
@@ -183,13 +182,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for &to in &peers {
-                let e = Envelope {
-                    from,
-                    to,
-                    msg: msg.clone(),
-                    trace,
-                };
-                total += encode_frame(&e, &auth).expect("encode").len();
+                total += encode_frame(to).len();
             }
             black_box(total)
         })
@@ -208,8 +201,11 @@ fn bench_codec(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(frame.len() as u64));
     g.bench_function("decode_preprepare100", |b| {
         b.iter(|| {
-            read_frame::<AnyMsg, _>(&mut black_box(frame.as_slice()), &auth, env.to)
+            let mut asm = FrameAssembler::new();
+            asm.extend(black_box(&frame));
+            asm.next_frame::<AnyMsg>(&auth, peers[0])
                 .expect("decode")
+                .expect("complete frame")
         })
     });
     // Reassembly from segmented reads: the reactor's ingress path

@@ -86,7 +86,6 @@ struct CstState {
     /// Locks held (rotation one passed through this shard).
     locked: bool,
     executed: bool,
-    replied: bool,
     /// Distinct previous-shard replica indices whose Forward we saw.
     forward_origins: HashSet<u32>,
     forward_processed: bool,
@@ -103,6 +102,48 @@ struct CstState {
     token: u64,
     retransmits: u32,
     proposed_here: bool,
+    /// Local-commit time at the initiator shard: opens
+    /// `phase.cst_forward`, which the wrap-around Forward closes.
+    committed_at: Option<Instant>,
+    /// When Forward evidence completed here: opens `phase.cst_execute`.
+    forwarded_at: Option<Instant>,
+    /// Initiator-shard execution time of a complex cst: opens
+    /// `phase.execute_reply`, which the wrap-around Execute closes.
+    executed_at: Option<Instant>,
+}
+
+impl CstState {
+    fn new(batch: Arc<Batch>, involved: Vec<ShardId>, token: u64, proposed_here: bool) -> Self {
+        CstState {
+            batch,
+            involved,
+            local_seq: None,
+            committed_local: false,
+            locked: false,
+            executed: false,
+            forward_origins: HashSet::new(),
+            forward_processed: false,
+            forward_payload: None,
+            execute_origins: HashSet::new(),
+            execute_processed: false,
+            deps: Vec::new(),
+            sigma: Vec::new(),
+            token,
+            retransmits: 0,
+            proposed_here,
+            committed_at: None,
+            forwarded_at: None,
+            executed_at: None,
+        }
+    }
+}
+
+/// One batching pool (primary only): the requests waiting for a batch
+/// and when the oldest of them arrived (opens `phase.admission`).
+#[derive(Debug, Default)]
+struct Pool {
+    txns: Vec<Transaction>,
+    since: Option<Instant>,
 }
 
 /// One client's replay/reply state (Castro & Liskov §4.1).
@@ -131,6 +172,20 @@ struct AnnouncedCheckpoint {
     digest: Digest,
     delta: Option<Arc<DeltaSnapshot>>,
     full: Option<Arc<Snapshot>>,
+}
+
+/// A locally committed sequence: the work it carries and the phase
+/// clocks that live exactly as long as it does.
+#[derive(Debug)]
+struct WorkSlot {
+    work: Work,
+    /// Local commit time: opens `phase.commit_execute`.
+    committed_at: Instant,
+    /// The batch's sampled trace context at this shard's ring position.
+    trace: Option<TraceContext>,
+    /// When a single-shard batch entered the execution stage: opens
+    /// `phase.execute_reply`, closed once its replies go out.
+    submitted_at: Option<Instant>,
 }
 
 #[derive(Debug, Clone)]
@@ -248,13 +303,13 @@ pub struct RingReplica {
     kv: KvStore,
     ledger: Ledger,
     /// Batching pools keyed by involved-shard set.
-    pools: BTreeMap<Vec<ShardId>, Vec<Transaction>>,
+    pools: BTreeMap<Vec<ShardId>, Pool>,
     /// Ids currently pooled (dedups re-relays after view changes).
     pooled: HashSet<TxnId>,
     pool_timer_armed: bool,
     next_batch_id: u64,
     /// Locally committed work by sequence number.
-    work: BTreeMap<u64, Work>,
+    work: BTreeMap<u64, WorkSlot>,
     /// Cross-shard transaction state by digest.
     csts: BTreeMap<Digest, CstState>,
     /// Completed digests (late-message dedup): a fixed-memory set whose
@@ -283,7 +338,7 @@ pub struct RingReplica {
     client_replies: HashMap<ClientId, ClientReplyCache>,
     /// When this replica last installed a view (suppresses watchdog-driven
     /// view-change churn: give each new primary a grace period).
-    last_view_entry: Instant,
+    last_view_entry: Option<Instant>,
     /// RemoteView complaints per digest (tracked outside `CstState`: a
     /// suppressing primary means most replicas never built the state).
     remote_complaints: HashMap<Digest, HashSet<u32>>,
@@ -346,35 +401,10 @@ pub struct RingReplica {
     /// When the first watchdog expiry was swallowed while this replica
     /// had not yet committed a single batch (see `allow_solo_vc`).
     pre_commit_vc_defer: Option<Instant>,
+    /// The event time of the call being handled, set at every public
+    /// entry point. PBFT, the phase clocks and the trace ring all read it.
+    now: Instant,
     // --- observability (`crate::obs`) ---
-    /// The current event time, cached at the public entry points so the
-    /// internal paths (which predate wall-time plumbing and still drive
-    /// PBFT with `Instant::ZERO`) can stamp phase timers without
-    /// threading `now` through every signature.
-    obs_now: Instant,
-    /// Commit time per locally committed sequence (commit→execute).
-    commit_at: HashMap<u64, Instant>,
-    /// Trace context per locally committed sequence whose batch carries
-    /// a sampled transaction: consumed with `commit_at` so the
-    /// commit→execute span can be stamped without re-deriving the batch.
-    commit_trace: HashMap<u64, TraceContext>,
-    /// Arrival time of the oldest request pooled per batching pool
-    /// (admission phase; primary only).
-    pool_first: BTreeMap<Vec<ShardId>, Instant>,
-    /// Execution time per batch this replica will answer the client for
-    /// (execute→reply): single-shard batches stamp their execution-stage
-    /// submit time (via `exec_submit_at`), complex csts their initiator-
-    /// shard execution. Simple csts stamp nothing — their reply interval
-    /// is exactly `phase.cst_forward` and must not be double-counted.
-    executed_at: HashMap<Digest, Instant>,
-    /// Submission time per in-flight single-shard execution job, keyed
-    /// by sequence (the digest is only known once the stage hashes it).
-    exec_submit_at: HashMap<u64, Instant>,
-    /// Local-commit time per cst at its initiator shard (cst-forward
-    /// phase: commit → ring-rotation-one wrap-around).
-    cst_commit_at: HashMap<Digest, Instant>,
-    /// Forward-evidence time per cst (cst-execute phase).
-    cst_fwd_at: HashMap<Digest, Instant>,
     /// Registry counters/gauges, phase histograms, and the trace ring.
     obs: ReplicaObs,
     // --- execution pipeline (`crate::pipeline`) ---
@@ -458,7 +488,7 @@ impl RingReplica {
             token_txn: HashMap::new(),
             watched_txns: HashMap::new(),
             client_replies: HashMap::new(),
-            last_view_entry: Instant::ZERO,
+            last_view_entry: None,
             remote_complaints: HashMap::new(),
             remote_vc_done: HashSet::new(),
             retired: HashMap::new(),
@@ -477,14 +507,7 @@ impl RingReplica {
             diverged: false,
             hole,
             pre_commit_vc_defer: None,
-            obs_now: Instant::ZERO,
-            commit_at: HashMap::new(),
-            commit_trace: HashMap::new(),
-            pool_first: BTreeMap::new(),
-            executed_at: HashMap::new(),
-            exec_submit_at: HashMap::new(),
-            cst_commit_at: HashMap::new(),
-            cst_fwd_at: HashMap::new(),
+            now: Instant::default(),
             obs: ReplicaObs::new(),
             exec_pipeline,
             exec_inflight: VecDeque::new(),
@@ -549,7 +572,7 @@ impl RingReplica {
                 }
             }
             self.obs.trace.push(
-                self.obs_now.as_nanos(),
+                self.now.as_nanos(),
                 "wal_restore",
                 &[("seq", tip.seq), ("durable_seq", recovered.durable_seq)],
             );
@@ -573,9 +596,7 @@ impl RingReplica {
     pub fn flush_wal(&mut self) {
         if let Some(w) = self.wal.as_mut() {
             if w.flush().is_err() {
-                self.obs
-                    .trace
-                    .push(self.obs_now.as_nanos(), "wal_error", &[]);
+                self.obs.trace.push(self.now.as_nanos(), "wal_error", &[]);
             }
         }
     }
@@ -585,9 +606,7 @@ impl RingReplica {
     pub fn close_wal(&mut self) {
         if let Some(w) = self.wal.as_mut() {
             if w.close().is_err() {
-                self.obs
-                    .trace
-                    .push(self.obs_now.as_nanos(), "wal_error", &[]);
+                self.obs.trace.push(self.now.as_nanos(), "wal_error", &[]);
             }
         }
     }
@@ -605,9 +624,7 @@ impl RingReplica {
     fn wal_append(&mut self, entry: &WalEntry, out: &mut Outbox<RingMsg>) {
         let Some(w) = self.wal.as_mut() else { return };
         if w.append(entry).is_err() {
-            self.obs
-                .trace
-                .push(self.obs_now.as_nanos(), "wal_error", &[]);
+            self.obs.trace.push(self.now.as_nanos(), "wal_error", &[]);
             return;
         }
         if !self.wal_timer_armed && w.dirty() {
@@ -623,9 +640,7 @@ impl RingReplica {
     fn wal_append_full(&mut self, snap: &Snapshot) {
         let Some(w) = self.wal.as_mut() else { return };
         if w.append_full(snap).is_err() {
-            self.obs
-                .trace
-                .push(self.obs_now.as_nanos(), "wal_error", &[]);
+            self.obs.trace.push(self.now.as_nanos(), "wal_error", &[]);
         }
     }
 
@@ -809,12 +824,24 @@ impl RingReplica {
     /// is behind (`catching_up` takes over), or the shard is genuinely
     /// stuck and the view change proceeds — bootstrap liveness against
     /// a dead initial primary is delayed, never lost.
-    fn allow_solo_vc(&mut self, now: Instant) -> bool {
+    fn allow_solo_vc(&mut self) -> bool {
         if self.pbft.committed_batches > 0 {
             return true;
         }
-        let first = *self.pre_commit_vc_defer.get_or_insert(now);
-        now.since(first) >= self.pbft.request_timeout() * 2
+        let first = *self.pre_commit_vc_defer.get_or_insert(self.now);
+        self.now.since(first) >= self.pbft.request_timeout() * 2
+    }
+
+    /// Should watchdogs and remote complaints hold off demanding a view
+    /// change? A freshly installed view gets one full timeout to make
+    /// progress — otherwise bursts of stuck-request watchdogs force
+    /// view-change churn faster than any primary can recover — and a
+    /// replica catching up to a stable checkpoint gets the same leniency
+    /// (see `catching_up`).
+    fn in_grace(&self) -> bool {
+        self.last_view_entry
+            .is_some_and(|t| self.now.since(t) < self.pbft.request_timeout())
+            || self.catching_up()
     }
 
     fn alloc_token(&mut self, digest: Digest) -> u64 {
@@ -864,7 +891,7 @@ impl RingReplica {
         msg: RingMsg,
         out: &mut Outbox<RingMsg>,
     ) {
-        self.obs_now = now;
+        self.now = now;
         match msg {
             RingMsg::Request { txn, relayed } => self.on_request(txn, relayed, out),
             RingMsg::Pbft(m) => {
@@ -873,10 +900,7 @@ impl RingReplica {
                     return; // PBFT is intra-shard only
                 }
                 self.drive_pbft(
-                    now,
-                    |pbft, pout, events| {
-                        pbft.on_message(now, r, m, pout, events);
-                    },
+                    |pbft, pout, events| pbft.on_message(now, r, m, pout, events),
                     out,
                 );
             }
@@ -911,10 +935,10 @@ impl RingReplica {
                     origin: r.index,
                 };
                 out.multicast(self.shard_replicas(), &share);
-                self.on_remote_view(now, digest, r.index, out);
+                self.on_remote_view(digest, r.index, out);
             }
             RingMsg::RemoteViewShare { digest, origin, .. } => {
-                self.on_remote_view(now, digest, origin, out);
+                self.on_remote_view(digest, origin, out);
             }
             RingMsg::Recovery(m) => {
                 let NodeId::Replica(r) = from else { return };
@@ -958,18 +982,10 @@ impl RingReplica {
         token: u64,
         out: &mut Outbox<RingMsg>,
     ) {
-        self.obs_now = now;
+        self.now = now;
         match kind {
             TimerKind::Local => {
-                // Grace period: a freshly installed view gets one full
-                // timeout to make progress before watchdogs escalate —
-                // otherwise bursts of stuck-request watchdogs force
-                // view-change churn faster than any primary can recover.
-                // A replica catching up to a stable checkpoint gets the
-                // same leniency (see `catching_up`).
-                let grace = (self.last_view_entry > Instant::ZERO
-                    && now.since(self.last_view_entry) < self.pbft.request_timeout())
-                    || self.catching_up();
+                let grace = self.in_grace();
                 if let Some(txn) = self.token_txn.get(&token).copied() {
                     // A1: the primary never ordered a relayed request.
                     // "Committed" here includes being *superseded* by a
@@ -991,12 +1007,9 @@ impl RingReplica {
                         // Keep watching: the re-relay on view entry (below)
                         // hands the request to the next primary.
                         out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
-                        if self.allow_solo_vc(now) {
+                        if self.allow_solo_vc() {
                             self.drive_pbft(
-                                now,
-                                |pbft, pout, events| {
-                                    pbft.force_view_change(pout, events);
-                                },
+                                |pbft, pout, events| pbft.force_view_change(pout, events),
                                 out,
                             );
                         }
@@ -1012,12 +1025,9 @@ impl RingReplica {
                         .unwrap_or(false);
                     if stalled && (grace || self.pbft.in_view_change()) {
                         out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
-                    } else if stalled && self.allow_solo_vc(now) {
+                    } else if stalled && self.allow_solo_vc() {
                         self.drive_pbft(
-                            now,
-                            |pbft, pout, events| {
-                                pbft.force_view_change(pout, events);
-                            },
+                            |pbft, pout, events| pbft.force_view_change(pout, events),
                             out,
                         );
                     }
@@ -1025,7 +1035,6 @@ impl RingReplica {
                 }
                 // PBFT-owned token (per-seq watchdog or view-change timer).
                 self.drive_pbft(
-                    now,
                     |pbft, pout, events| {
                         pbft.on_timer(kind, token, pout, events);
                     },
@@ -1120,12 +1129,11 @@ impl RingReplica {
             if !self.pooled.insert(txn.id) {
                 return; // already pooled (duplicate relay)
             }
-            self.pool_first
-                .entry(involved.clone())
-                .or_insert(self.obs_now);
-            self.pools.entry(involved).or_default().push((*txn).clone());
+            let pool = self.pools.entry(involved).or_default();
+            pool.since.get_or_insert(self.now);
+            pool.txns.push((*txn).clone());
             self.flush_pools(false, out);
-            if !self.pool_timer_armed && self.pools.values().any(|p| !p.is_empty()) {
+            if !self.pool_timer_armed && self.pools.values().any(|p| !p.txns.is_empty()) {
                 self.pool_timer_armed = true;
                 out.set_timer(
                     TimerKind::Client,
@@ -1191,7 +1199,7 @@ impl RingReplica {
                 hop,
             };
             self.obs
-                .span(self.obs_now, ctx, p, self.me.shard.0, self.me.index, d);
+                .span(self.now, ctx, p, self.me.shard.0, self.me.index, d);
         }
     }
 
@@ -1235,42 +1243,36 @@ impl RingReplica {
         let keys: Vec<Vec<ShardId>> = self
             .pools
             .iter()
-            .filter(|(_, p)| p.len() >= effective || (force && !p.is_empty()))
+            .filter(|(_, p)| p.txns.len() >= effective || (force && !p.txns.is_empty()))
             .map(|(k, _)| k.clone())
             .collect();
         for key in keys {
             loop {
+                let now = self.now;
                 let pool = self.pools.get_mut(&key).expect("pool exists");
-                if pool.is_empty() || (pool.len() < effective && !force) {
+                if pool.txns.is_empty() || (pool.txns.len() < effective && !force) {
                     break;
                 }
-                let take = pool.len().min(batch_size);
-                let txns: Vec<Transaction> = pool.drain(..take).collect();
-                if adaptive_cut && txns.len() < batch_size {
-                    self.obs.batch_adaptive_flushes(1);
-                }
-                let drained_all = pool.is_empty();
+                let take = pool.txns.len().min(batch_size);
+                let txns: Vec<Transaction> = pool.txns.drain(..take).collect();
                 // Admission: how long the oldest pooled request waited
                 // for its batch. Later batches from the same flush reuse
                 // the restarted clock, so the sample tracks head-of-pool
                 // wait rather than per-transaction wait.
-                if let Some(t0) = self.pool_first.get(&key).copied() {
-                    let d = self.obs_now.since(t0);
+                let since = pool.since;
+                pool.since = (!pool.txns.is_empty()).then_some(now);
+                if adaptive_cut && txns.len() < batch_size {
+                    self.obs.batch_adaptive_flushes(1);
+                }
+                if let Some(t0) = since {
+                    let d = now.since(t0);
                     self.obs.phase(Phase::Admission, d);
                     self.stamp_span(txns.iter().find_map(|t| t.trace), 0, Phase::Admission, d);
-                    if drained_all {
-                        self.pool_first.remove(&key);
-                    } else {
-                        self.pool_first.insert(key.clone(), self.obs_now);
-                    }
                 }
                 let id = BatchId(self.next_batch_id);
                 self.next_batch_id += 1;
                 let batch = Arc::new(Batch::new(id, txns));
                 self.propose_batch(batch, out);
-                if force {
-                    continue;
-                }
             }
         }
     }
@@ -1280,32 +1282,18 @@ impl RingReplica {
         let involved = batch.involved_shards();
         if involved.len() > 1 {
             let token = self.alloc_token(digest);
-            self.csts.entry(digest).or_insert_with(|| CstState {
-                batch: Arc::clone(&batch),
-                involved,
-                local_seq: None,
-                committed_local: false,
-                locked: false,
-                executed: false,
-                replied: false,
-                forward_origins: HashSet::new(),
-                forward_processed: false,
-                forward_payload: None,
-                execute_origins: HashSet::new(),
-                execute_processed: false,
-                deps: Vec::new(),
-                sigma: Vec::new(),
-                token,
-                retransmits: 0,
-                proposed_here: true,
-            });
+            self.csts
+                .entry(digest)
+                .or_insert_with(|| CstState::new(Arc::clone(&batch), involved, token, true));
         }
-        let now = Instant::ZERO; // PBFT core does not use wall time
+        self.propose(batch, out);
+    }
+
+    /// Proposes `batch` to this shard's PBFT instance (primary only).
+    fn propose(&mut self, batch: Arc<Batch>, out: &mut Outbox<RingMsg>) {
+        let now = self.now;
         self.drive_pbft(
-            now,
-            |pbft, pout, events| {
-                pbft.propose(batch, pout, events);
-            },
+            |pbft, pout, events| pbft.propose(now, batch, pout, events),
             out,
         );
     }
@@ -1316,13 +1304,13 @@ impl RingReplica {
 
     /// Runs a closure against the PBFT core, translating its actions into
     /// `RingMsg`s and processing its events.
-    fn drive_pbft<F>(&mut self, now: Instant, f: F, out: &mut Outbox<RingMsg>)
+    fn drive_pbft<R, F>(&mut self, f: F, out: &mut Outbox<RingMsg>) -> R
     where
-        F: FnOnce(&mut PbftCore, &mut Outbox<PbftMsg>, &mut Vec<PbftEvent>),
+        F: FnOnce(&mut PbftCore, &mut Outbox<PbftMsg>, &mut Vec<PbftEvent>) -> R,
     {
         let mut pout = Outbox::new();
         let mut events = Vec::new();
-        f(&mut self.pbft, &mut pout, &mut events);
+        let result = f(&mut self.pbft, &mut pout, &mut events);
         // Preprepare acceptance is internal to the engine; its outward
         // witness is the traffic: a primary multicasting Preprepare, a
         // backup answering with Prepare. Log each ordered slot once.
@@ -1349,30 +1337,27 @@ impl RingReplica {
                     }
                 }
             }
-            out_push(out, action);
+            lift(out, action, RingMsg::Pbft);
         }
         for (view, seq, digest) in accepted {
             self.wal_append(&WalEntry::Preprepare { view, seq, digest }, out);
         }
         for event in events {
-            self.on_pbft_event(now, event, out);
+            self.on_pbft_event(event, out);
         }
+        result
     }
 
-    fn on_pbft_event(&mut self, now: Instant, event: PbftEvent, out: &mut Outbox<RingMsg>) {
+    fn on_pbft_event(&mut self, event: PbftEvent, out: &mut Outbox<RingMsg>) {
         match event {
             PbftEvent::Committed {
-                seq,
-                digest,
-                batch,
-                committers,
-                ..
-            } => self.on_local_commit(seq, digest, batch, committers, out),
+                seq, digest, batch, ..
+            } => self.on_local_commit(seq, digest, batch, out),
             PbftEvent::EnteredView { view } => {
-                self.last_view_entry = now;
+                self.last_view_entry = Some(self.now);
                 self.obs
                     .trace
-                    .push(now.as_nanos(), "view_entered", &[("view", view.0)]);
+                    .push(self.now.as_nanos(), "view_entered", &[("view", view.0)]);
                 out.view_changed(view.0);
                 self.on_entered_view(out);
             }
@@ -1405,11 +1390,9 @@ impl RingReplica {
         if seq <= self.exec_watermark {
             return;
         }
-        self.obs.trace.push(
-            self.obs_now.as_nanos(),
-            "checkpoint_evidence",
-            &[("seq", seq)],
-        );
+        self.obs
+            .trace
+            .push(self.now.as_nanos(), "checkpoint_evidence", &[("seq", seq)]);
         if self.announced.get(&seq).is_some_and(|e| e.digest == digest) {
             return; // our own state reaches it; no transfer needed
         }
@@ -1441,13 +1424,7 @@ impl RingReplica {
         let mut rout = Outbox::new();
         f(&mut self.recovery, &mut rout);
         for action in rout.take() {
-            match action.map_msg(RingMsg::Recovery) {
-                Action::Send { to, msg } => out.send(to, msg),
-                Action::SendMany { tos, msg } => out.send_many(tos, msg),
-                Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
-                Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
-                Action::Executed { .. } | Action::ViewChanged { .. } => {}
-            }
+            lift(out, action, RingMsg::Recovery);
         }
         for event in self.recovery.take_events() {
             match event {
@@ -1475,13 +1452,7 @@ impl RingReplica {
         let mut hout = Outbox::new();
         f(&mut self.hole, &mut hout);
         for action in hout.take() {
-            match action.map_msg(RingMsg::Recovery) {
-                Action::Send { to, msg } => out.send(to, msg),
-                Action::SendMany { tos, msg } => out.send_many(tos, msg),
-                Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
-                Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
-                Action::Executed { .. } | Action::ViewChanged { .. } => {}
-            }
+            lift(out, action, RingMsg::Recovery);
         }
     }
 
@@ -1542,15 +1513,15 @@ impl RingReplica {
             // the served batch carries a sampled transaction.
             match batch_trace(&reply.batch) {
                 Some(t) => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
+                    self.now.as_nanos(),
                     "hole_serve",
                     &[("seq", req.seq.0), ("trace", t.trace_id)],
                 ),
-                None => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_serve",
-                    &[("seq", req.seq.0)],
-                ),
+                None => {
+                    self.obs
+                        .trace
+                        .push(self.now.as_nanos(), "hole_serve", &[("seq", req.seq.0)])
+                }
             }
             out.send(
                 NodeId::Replica(from),
@@ -1592,27 +1563,23 @@ impl RingReplica {
         }
         let reply_seq = reply.cert.seq.0;
         let reply_trace = batch_trace(&reply.batch);
-        let mut installed = false;
-        self.drive_pbft(
-            Instant::ZERO,
-            |pbft, pout, events| {
-                installed = pbft.install_certified_commit(reply, pout, events);
-            },
+        let installed = self.drive_pbft(
+            |pbft, pout, events| pbft.install_certified_commit(reply, pout, events),
             out,
         );
         if installed {
             self.hole.stats.holes_filled += 1;
             match reply_trace {
                 Some(t) => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
+                    self.now.as_nanos(),
                     "hole_filled",
                     &[("seq", reply_seq), ("trace", t.trace_id)],
                 ),
-                None => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_filled",
-                    &[("seq", reply_seq)],
-                ),
+                None => {
+                    self.obs
+                        .trace
+                        .push(self.now.as_nanos(), "hole_filled", &[("seq", reply_seq)])
+                }
             }
         }
         self.update_hole_probe(out);
@@ -1632,14 +1599,12 @@ impl RingReplica {
         if seq <= self.exec_watermark || self.executed_ahead.contains(&seq) {
             return;
         }
-        if let Some(t0) = self.commit_at.remove(&seq) {
-            let d = self.obs_now.since(t0);
+        if let Some(slot) = self.work.get(&seq) {
+            let (d, trace) = (self.now.since(slot.committed_at), slot.trace);
             self.obs.phase(Phase::CommitExecute, d);
-            if let Some(t) = self.commit_trace.remove(&seq) {
+            if let Some(t) = trace {
                 self.stamp_span(Some(t), t.hop, Phase::CommitExecute, d);
             }
-        } else {
-            self.commit_trace.remove(&seq);
         }
         self.pending_effects.insert(seq, writes);
         self.executed_ahead.insert(seq);
@@ -1717,16 +1682,13 @@ impl RingReplica {
             );
             self.obs
                 .trace
-                .push(self.obs_now.as_nanos(), "checkpoint_vote", &[("seq", seq)]);
+                .push(self.now.as_nanos(), "checkpoint_vote", &[("seq", seq)]);
             // Persist the vote (diagnostics: a diverged replica's log
             // shows exactly which window went wrong). The state itself
             // is persisted only once the window is quorum-stable.
             self.wal_append(&WalEntry::CheckpointVote { seq, digest }, out);
             self.drive_pbft(
-                Instant::ZERO,
-                |pbft, pout, events| {
-                    pbft.announce_checkpoint(SeqNum(seq), digest, pout, events);
-                },
+                |pbft, pout, events| pbft.announce_checkpoint(SeqNum(seq), digest, pout, events),
                 out,
             );
         }
@@ -1779,38 +1741,34 @@ impl RingReplica {
                 let horizon = seq.saturating_sub(2 * self.cfg.checkpoint_interval);
                 self.done.rotate();
                 // Finished csts a full window below the stable point are
-                // retired: executed, unlocked, and either answered or
-                // held downstream of the initiator, which never replies.
-                // Nothing else frees a downstream shard's state (batch
-                // plus Forward payload) short of a snapshot install.
+                // retired: executed, unlocked, and held downstream of the
+                // initiator, which never replies (an answered cst is
+                // already gone: `finish_cst`). Nothing else frees a
+                // downstream shard's state (batch plus Forward payload)
+                // short of a snapshot install.
                 let floor = seq.saturating_sub(self.cfg.checkpoint_interval);
-                let finished: Vec<(Digest, bool)> = self
+                let finished: Vec<Digest> = self
                     .csts
                     .iter()
-                    .filter_map(|(d, c)| {
-                        let downstream = self.ring.first(&c.involved) != self.me.shard;
-                        (c.executed
+                    .filter(|(_, c)| {
+                        c.executed
                             && !c.locked
                             && c.local_seq.is_some_and(|s| s <= floor)
-                            && (c.replied || downstream))
-                            .then_some((*d, downstream))
+                            && self.ring.first(&c.involved) != self.me.shard
                     })
+                    .map(|(d, _)| *d)
                     .collect();
-                for (d, downstream) in finished {
+                for d in finished {
                     self.drop_cst(d, out);
-                    if downstream {
-                        self.retired.insert(d, self.obs_now);
-                    }
+                    self.retired.insert(d, self.now);
                 }
-                let (now, keep) = (self.obs_now, self.retransmit_horizon());
+                let (now, keep) = (self.now, self.retransmit_horizon());
                 self.retired.retain(|_, at| now.since(*at) < keep);
                 self.obs
                     .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
-                self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "checkpoint_stable",
-                    &[("seq", seq)],
-                );
+                self.obs
+                    .trace
+                    .push(self.now.as_nanos(), "checkpoint_stable", &[("seq", seq)]);
                 // Reply-cache backstop: the cache is O(active clients),
                 // but a client population that churns (hosts leaving,
                 // id ranges rotating) would still accrete entries —
@@ -1845,7 +1803,7 @@ impl RingReplica {
             self.recovery.invalidate_base();
             self.obs.checkpoint_divergences(1);
             self.obs.trace.push(
-                self.obs_now.as_nanos(),
+                self.now.as_nanos(),
                 "checkpoint_divergence",
                 &[("seq", seq)],
             );
@@ -2003,18 +1961,16 @@ impl RingReplica {
             self.drop_cst(d, out);
         }
         self.work.retain(|s, _| *s > seq);
-        // Commit→execute clocks for subsumed sequences never close.
-        self.commit_at.retain(|s, _| *s > seq);
         self.obs
             .trace
-            .push(self.obs_now.as_nanos(), "snapshot_install", &[("seq", seq)]);
+            .push(self.now.as_nanos(), "snapshot_install", &[("seq", seq)]);
         // Replay the ledger tail: re-offer every committed-but-unadmitted
         // sequence above the checkpoint in order; execution follows the
         // normal admission path.
         let mut seqs: Vec<u64> = self.work.keys().copied().collect();
         seqs.sort_unstable();
         for s in seqs {
-            let (reads, writes) = match self.work.get(&s) {
+            let (reads, writes) = match self.work.get(&s).map(|slot| &slot.work) {
                 Some(Work::Single(b)) => self.lock_keys(b),
                 Some(Work::Cst(d)) => match self.csts.get(d) {
                     Some(c) => self.lock_keys(&c.batch),
@@ -2034,11 +1990,9 @@ impl RingReplica {
             // checkpoint re-enters via the next stable window's delta
             // transfer, like any laggard.
             self.diverged = false;
-            self.obs.trace.push(
-                self.obs_now.as_nanos(),
-                "divergence_repaired",
-                &[("seq", seq)],
-            );
+            self.obs
+                .trace
+                .push(self.now.as_nanos(), "divergence_repaired", &[("seq", seq)]);
         }
         // A verified quorum snapshot is the strongest restart point the
         // log can hold: compact down to it.
@@ -2056,7 +2010,6 @@ impl RingReplica {
         seq: SeqNum,
         digest: Digest,
         batch: Arc<Batch>,
-        committers: Vec<u32>,
         out: &mut Outbox<RingMsg>,
     ) {
         // The durable tail: a restart replays these markers to learn how
@@ -2073,75 +2026,57 @@ impl RingReplica {
                 out.cancel_timer(TimerKind::Local, token);
             }
         }
-        // Consensus latency for this slot: first preprepare/vote seen →
-        // local commit; the commit→execute clock starts here.
+        // Consensus latency for this slot: proposal or first consensus
+        // message seen → local commit; the commit→execute clock starts
+        // here, at this shard's ring position.
+        let hop = self.cst_hop(&digest);
+        let trace = batch_trace(&batch).map(|t| TraceContext {
+            trace_id: t.trace_id,
+            hop,
+        });
         if let Some(t0) = self.pbft.consensus_started_at(seq) {
-            let d = self.obs_now.since(t0);
+            let d = self.now.since(t0);
             self.obs.phase(Phase::PreprepareCommit, d);
-            self.stamp_span(
-                batch_trace(&batch),
-                self.cst_hop(&digest),
-                Phase::PreprepareCommit,
-                d,
-            );
-        }
-        self.commit_at.insert(seq.0, self.obs_now);
-        if let Some(t) = batch_trace(&batch) {
-            // Remember the sampled context (at this shard's ring
-            // position) so `mark_executed` can stamp commit→execute.
-            self.commit_trace.insert(
-                seq.0,
-                TraceContext {
-                    trace_id: t.trace_id,
-                    hop: self.cst_hop(&digest),
-                },
-            );
+            self.stamp_span(trace, hop, Phase::PreprepareCommit, d);
         }
         let involved = batch.involved_shards();
-        if involved.len() <= 1 {
-            self.work.insert(seq.0, Work::Single(Arc::clone(&batch)));
+        let work = if involved.len() <= 1 {
+            Work::Single(Arc::clone(&batch))
         } else if self.done.contains(&digest)
             || self.csts.get(&digest).is_some_and(|c| c.committed_local)
         {
             // Already committed at another sequence number (view-change
             // double proposal): this slot only advances the lock order.
-            self.work.insert(seq.0, Work::Duplicate);
+            Work::Duplicate
         } else {
             let token = match self.csts.get(&digest) {
                 Some(c) => c.token,
                 None => self.alloc_token(digest),
             };
-            let state = self.csts.entry(digest).or_insert_with(|| CstState {
-                batch: Arc::clone(&batch),
-                involved: involved.clone(),
-                local_seq: None,
-                committed_local: false,
-                locked: false,
-                executed: false,
-                replied: false,
-                forward_origins: HashSet::new(),
-                forward_processed: false,
-                forward_payload: None,
-                execute_origins: HashSet::new(),
-                execute_processed: false,
-                deps: Vec::new(),
-                sigma: Vec::new(),
-                token,
-                retransmits: 0,
-                proposed_here: true,
-            });
-            state.local_seq = Some(seq.0);
-            state.committed_local = true;
-            let _ = committers; // certificate modeled by index set size
-                                // Cancel the forwarded-request watchdog (primary proposed it).
-            out.cancel_timer(TimerKind::Local, state.token);
-            self.work.insert(seq.0, Work::Cst(digest));
             // Cst-forward clock (initiator only: the first shard is the
             // one whose commit opens the ring rotation).
-            if self.ring.first(&involved) == self.me.shard {
-                self.cst_commit_at.insert(digest, self.obs_now);
-            }
-        }
+            let initiator = self.ring.first(&involved) == self.me.shard;
+            let now = self.now;
+            let state = self
+                .csts
+                .entry(digest)
+                .or_insert_with(|| CstState::new(Arc::clone(&batch), involved, token, true));
+            state.local_seq = Some(seq.0);
+            state.committed_local = true;
+            state.committed_at = initiator.then_some(now);
+            // Cancel the forwarded-request watchdog (primary proposed it).
+            out.cancel_timer(TimerKind::Local, state.token);
+            Work::Cst(digest)
+        };
+        self.work.insert(
+            seq.0,
+            WorkSlot {
+                work,
+                committed_at: self.now,
+                trace,
+                submitted_at: None,
+            },
+        );
         let (reads, writes) = self.lock_keys(&batch);
         let admitted = self.locks.commit_rw(seq.0, reads, writes);
         for s in admitted.acquired {
@@ -2155,7 +2090,7 @@ impl RingReplica {
 
     /// A sequence number acquired its locks: act on the work it carries.
     fn on_admitted(&mut self, seq: u64, out: &mut Outbox<RingMsg>) {
-        let Some(work) = self.work.get(&seq).cloned() else {
+        let Some(work) = self.work.get(&seq).map(|slot| slot.work.clone()) else {
             return;
         };
         match work {
@@ -2163,10 +2098,10 @@ impl RingReplica {
                 self.execute_single_shard(seq, &batch, out);
             }
             Work::Duplicate => {
-                self.work.remove(&seq);
                 // No new effects at this sequence; it still advances the
                 // checkpoint watermark.
                 self.mark_executed(seq, Vec::new(), out);
+                self.work.remove(&seq);
                 let admitted = self.locks.release(seq);
                 for s in admitted.acquired {
                     self.on_admitted(s, out);
@@ -2176,8 +2111,8 @@ impl RingReplica {
                 // Defensive: a cst whose fragment already executed (late
                 // duplicate) must not hold fresh locks.
                 if self.csts.get(&digest).is_none_or(|s| s.executed) {
-                    self.work.remove(&seq);
                     self.mark_executed(seq, Vec::new(), out);
+                    self.work.remove(&seq);
                     let admitted = self.locks.release(seq);
                     for s in admitted.acquired {
                         self.on_admitted(s, out);
@@ -2278,7 +2213,9 @@ impl RingReplica {
         // Execute→reply clock: opens when the job enters the execution
         // stage, closes in `reply_clients` once the applied outcome's
         // replies go out — the stage latency an async pipeline adds.
-        self.exec_submit_at.insert(seq, self.obs_now);
+        if let Some(slot) = self.work.get_mut(&seq) {
+            slot.submitted_at = Some(self.now);
+        }
         self.exec_inflight.push_back(seq);
         self.exec_pipeline.submit(ExecJob {
             seq,
@@ -2346,13 +2283,9 @@ impl RingReplica {
             involved: vec![self.me.shard],
         });
         out.executed(o.seq, o.txn_count);
+        let submitted_at = self.work.get(&o.seq).and_then(|slot| slot.submitted_at);
         self.mark_executed(o.seq, o.writes, out);
-        // Hand the submit-time clock to `reply_clients` under the digest
-        // it closes by (the digest only exists once the stage hashed it).
-        if let Some(t0) = self.exec_submit_at.remove(&o.seq) {
-            self.executed_at.insert(o.digest, t0);
-        }
-        self.reply_clients(o.digest, &o.batch, out);
+        self.reply_clients(o.digest, &o.batch, submitted_at, out);
         self.work.remove(&o.seq);
         let admitted = self.locks.release(o.seq);
         for s in admitted.acquired {
@@ -2364,7 +2297,7 @@ impl RingReplica {
     /// runtime calls this when the pipeline's waker fires. A no-op for
     /// inline/blocking stages (drained at submit time).
     pub fn pump(&mut self, now: Instant, out: &mut Outbox<RingMsg>) {
-        self.obs_now = now;
+        self.now = now;
         self.pump_exec(out);
     }
 
@@ -2375,9 +2308,17 @@ impl RingReplica {
         self.flush_exec(out);
     }
 
-    fn reply_clients(&mut self, digest: Digest, batch: &Batch, out: &mut Outbox<RingMsg>) {
-        if let Some(t0) = self.executed_at.remove(&digest) {
-            let d = self.obs_now.since(t0);
+    /// Answers every client with a transaction in `batch`. `executed_at`
+    /// opens `phase.execute_reply`, which closes here.
+    fn reply_clients(
+        &mut self,
+        digest: Digest,
+        batch: &Batch,
+        executed_at: Option<Instant>,
+        out: &mut Outbox<RingMsg>,
+    ) {
+        if let Some(t0) = executed_at {
+            let d = self.now.since(t0);
             self.obs.phase(Phase::ExecuteReply, d);
             self.stamp_span(batch_trace(batch), 0, Phase::ExecuteReply, d);
         }
@@ -2444,25 +2385,14 @@ impl RingReplica {
             }
         }
         let nf = self.cfg.shard(me_shard).nf();
-        // Ring-hop counter for causal tracing: the initiator opens the
-        // rotation at hop 0; downstream shards advance the hop of the
-        // Forward they received.
-        let hop = if self.ring.first(&state.involved) == me_shard {
-            0
-        } else {
-            state
-                .forward_payload
-                .as_ref()
-                .map(|f| f.hop.saturating_add(1))
-                .unwrap_or(0)
-        };
         let fwd = ForwardMsg {
             batch: Arc::clone(&state.batch),
             digest,
             from_shard: me_shard,
             cert_signers: (0..nf as u32).collect(),
             deps,
-            hop,
+            // Ring-hop counter for causal tracing: this shard's position.
+            hop: self.cst_hop(&digest),
         };
         let token = state.token;
         if self.cfg.ablation_quadratic_forward {
@@ -2537,25 +2467,10 @@ impl RingReplica {
             Some(c) => c.token,
             None => self.alloc_token(digest),
         };
-        let state = self.csts.entry(digest).or_insert_with(|| CstState {
-            batch: Arc::clone(&fwd.batch),
-            involved,
-            local_seq: None,
-            committed_local: false,
-            locked: false,
-            executed: false,
-            replied: false,
-            forward_origins: HashSet::new(),
-            forward_processed: false,
-            forward_payload: None,
-            execute_origins: HashSet::new(),
-            execute_processed: false,
-            deps: Vec::new(),
-            sigma: Vec::new(),
-            token,
-            retransmits: 0,
-            proposed_here: false,
-        });
+        let state = self
+            .csts
+            .entry(digest)
+            .or_insert_with(|| CstState::new(Arc::clone(&fwd.batch), involved, token, false));
         state.forward_origins.insert(from.index);
         if state.forward_payload.is_none() {
             state.forward_payload = Some(fwd.clone());
@@ -2576,25 +2491,25 @@ impl RingReplica {
         if fwd.deps.len() > state.deps.len() {
             state.deps = fwd.deps.clone();
         }
-        let (locked, executed, replied, proposed_here, tok, batch) = (
+        // A processed Forward closes the initiator's cst-forward clock
+        // (wrap-around) and opens the forward→execute clock here.
+        let committed_at = state.committed_at.take();
+        state.forwarded_at = Some(self.now);
+        let (locked, executed, proposed_here, tok, batch) = (
             state.locked,
             state.executed,
-            state.replied,
             state.proposed_here,
             state.token,
             Arc::clone(&state.batch),
         );
         out.cancel_timer(TimerKind::Remote, tok);
-        // A processed Forward closes the initiator's cst-forward clock
-        // (wrap-around) and opens the forward→execute clock here.
-        if let Some(t0) = self.cst_commit_at.remove(&digest) {
-            let d = self.obs_now.since(t0);
+        if let Some(t0) = committed_at {
+            let d = self.now.since(t0);
             self.obs.phase(Phase::CstForward, d);
             // Wrap-around at the initiator: the span closes at ring
             // position 0 even though the Forward travelled the ring.
             self.stamp_span(batch_trace(&fwd.batch), 0, Phase::CstForward, d);
         }
-        self.cst_fwd_at.insert(digest, self.obs_now);
         if locked {
             // Second rotation begins at the initiator (Fig 5 line 32) —
             // only complex csts still hold locks here.
@@ -2604,12 +2519,9 @@ impl RingReplica {
             // that every involved shard ordered (and hence executed) the
             // transaction — one rotation completes it (§4.2.1).
             let involved = fwd.batch.involved_shards();
-            if self.ring.first(&involved) == self.me.shard && !replied {
-                if let Some(s) = self.csts.get_mut(&digest) {
-                    s.replied = true;
-                }
+            if self.ring.first(&involved) == self.me.shard {
                 self.finish_cst(digest, tok);
-                self.reply_clients(digest, &batch, out);
+                self.reply_clients(digest, &batch, None, out);
                 out.cancel_timer(TimerKind::Transmit, tok);
             }
         } else if !proposed_here {
@@ -2618,14 +2530,7 @@ impl RingReplica {
                 if let Some(s) = self.csts.get_mut(&digest) {
                     s.proposed_here = true;
                 }
-                let now = Instant::ZERO;
-                self.drive_pbft(
-                    now,
-                    |pbft, pout, events| {
-                        pbft.propose(batch, pout, events);
-                    },
-                    out,
-                );
+                self.propose(batch, out);
             } else {
                 // Watch the primary: it must propose this cst.
                 out.set_timer(TimerKind::Local, tok, self.pbft.request_timeout());
@@ -2659,8 +2564,8 @@ impl RingReplica {
         if sigma.is_empty() {
             sigma = state.deps.clone();
         }
-        if let Some(t0) = self.cst_fwd_at.remove(&digest) {
-            let d = self.obs_now.since(t0);
+        if let Some(t0) = state.forwarded_at.take() {
+            let d = self.now.since(t0);
             self.obs.phase(Phase::CstExecute, d);
             self.stamp_span(
                 batch_trace(&batch),
@@ -2685,6 +2590,10 @@ impl RingReplica {
         self.obs.executed_batches(1);
         let state = self.csts.get_mut(&digest).expect("state exists");
         state.sigma = sigma.clone();
+        if self.ring.first(&state.involved) == me_shard {
+            // Execute→reply clock; closed when the Execute wraps around.
+            state.executed_at = Some(self.now);
+        }
         let involved = state.involved.clone();
         let token = state.token;
         self.ledger.append(BlockBody {
@@ -2696,10 +2605,6 @@ impl RingReplica {
         });
         out.executed(seq, batch.len() as u32);
         self.mark_executed(seq, effects, out);
-        if self.ring.first(&involved) == self.me.shard {
-            // Execute→reply clock; closed when the Execute wraps around.
-            self.executed_at.insert(digest, self.obs_now);
-        }
         // Release locks (Fig 5 line 35) and admit successors.
         self.work.remove(&seq);
         let admitted = self.locks.release(seq);
@@ -2768,22 +2673,19 @@ impl RingReplica {
         if ex.sigma.len() > state.sigma.len() {
             state.sigma = ex.sigma.clone();
         }
-        let (executed, replied, token, batch, involved_first) = (
+        let (executed, token, batch, involved_first, executed_at) = (
             state.executed,
-            state.replied,
             state.token,
             Arc::clone(&state.batch),
             self.ring.first(&state.involved),
+            state.executed_at,
         );
         if executed {
             // Fig 5 lines 41–42: the Execute wrapped around the ring —
             // every shard executed; the initiator answers the client.
-            if involved_first == self.me.shard && !replied {
-                if let Some(s) = self.csts.get_mut(&digest) {
-                    s.replied = true;
-                }
+            if involved_first == self.me.shard {
                 self.finish_cst(digest, token);
-                self.reply_clients(digest, &batch, out);
+                self.reply_clients(digest, &batch, executed_at, out);
                 out.cancel_timer(TimerKind::Transmit, token);
             }
         } else {
@@ -2859,8 +2761,6 @@ impl RingReplica {
         out.cancel_timer(TimerKind::Local, c.token);
         out.cancel_timer(TimerKind::Remote, c.token);
         out.cancel_timer(TimerKind::Transmit, c.token);
-        self.cst_commit_at.remove(&digest);
-        self.cst_fwd_at.remove(&digest);
     }
 
     fn finish_cst(&mut self, digest: Digest, token: u64) {
@@ -2871,10 +2771,6 @@ impl RingReplica {
         self.done.insert(&digest);
         self.obs
             .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
-        // Drop any phase clocks the cst never closed (non-initiator
-        // wrap-arounds, retransmission races).
-        self.cst_commit_at.remove(&digest);
-        self.cst_fwd_at.remove(&digest);
     }
 
     // ------------------------------------------------------------------
@@ -2934,16 +2830,10 @@ impl RingReplica {
         self.obs.remote_views_sent(1);
         self.obs
             .trace
-            .push(self.obs_now.as_nanos(), "remote_view_sent", &[]);
+            .push(self.now.as_nanos(), "remote_view_sent", &[]);
     }
 
-    fn on_remote_view(
-        &mut self,
-        now: Instant,
-        digest: Digest,
-        origin: u32,
-        out: &mut Outbox<RingMsg>,
-    ) {
+    fn on_remote_view(&mut self, digest: Digest, origin: u32, out: &mut Outbox<RingMsg>) {
         let f = self.f();
         let votes = self.remote_complaints.entry(digest).or_default();
         votes.insert(origin);
@@ -2975,10 +2865,7 @@ impl RingReplica {
         // complained-about cst is usually one the healthy quorum
         // finished while it was dark (covered by the snapshot), and its
         // solo view-change demand would wedge it in an unjoined view.
-        let grace = (self.last_view_entry > Instant::ZERO
-            && now.since(self.last_view_entry) < self.pbft.request_timeout())
-            || self.pbft.in_view_change()
-            || self.catching_up();
+        let grace = self.in_grace() || self.pbft.in_view_change();
         // No solo-VC deferral here: the f+1 complaint quorum behind this
         // trigger is shared shard-wide, so every correct replica that
         // lacks the commit forces the view change *together* (Fig 6) —
@@ -2987,10 +2874,7 @@ impl RingReplica {
             // Fig 6 lines 5–6: f+1 complaints about a transaction this
             // shard failed to replicate force a local view change.
             self.drive_pbft(
-                now,
-                |pbft, pout, events| {
-                    pbft.force_view_change(pout, events);
-                },
+                |pbft, pout, events| pbft.force_view_change(pout, events),
                 out,
             );
         }
@@ -3027,14 +2911,7 @@ impl RingReplica {
             })
             .collect();
         for batch in stalled_proposals {
-            let now = Instant::ZERO;
-            self.drive_pbft(
-                now,
-                |pbft, pout, events| {
-                    pbft.propose(batch, pout, events);
-                },
-                out,
-            );
+            self.propose(batch, out);
         }
         let resend: Vec<Digest> = self
             .csts
@@ -3048,9 +2925,10 @@ impl RingReplica {
     }
 }
 
-/// Maps a PBFT action into the RingBFT message space.
-fn out_push(out: &mut Outbox<RingMsg>, action: Action<PbftMsg>) {
-    match action.map_msg(RingMsg::Pbft) {
+/// Lifts an action of a sub-machine (PBFT, state transfer, hole fetch)
+/// into the RingBFT message space.
+fn lift<M>(out: &mut Outbox<RingMsg>, action: Action<M>, wrap: impl FnOnce(M) -> RingMsg) {
+    match action.map_msg(wrap) {
         Action::Send { to, msg } => out.send(to, msg),
         Action::SendMany { tos, msg } => out.send_many(tos, msg),
         Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),

@@ -6,14 +6,18 @@
 //! [`ReplicaObs::stats`]) and adds the per-phase latency histograms the
 //! paper's evaluation needs:
 //!
-//! | phase                    | opens at                          | closes at                 |
-//! |--------------------------|-----------------------------------|---------------------------|
-//! | `phase.admission`        | first request pooled for a batch  | batch proposed to PBFT    |
-//! | `phase.preprepare_commit`| first consensus msg for the slot  | local commit              |
-//! | `phase.commit_execute`   | local commit                      | execution applied         |
-//! | `phase.execute_reply`    | execution submitted/applied       | client replies sent       |
-//! | `phase.cst_forward`      | cst locally committed             | Forward evidence complete |
-//! | `phase.cst_execute`      | Forward evidence complete         | cst executed              |
+//! | phase                    | opens at                            | closes at                 |
+//! |--------------------------|-------------------------------------|---------------------------|
+//! | `phase.admission`        | first request pooled for a batch    | batch proposed to PBFT    |
+//! | `phase.preprepare_commit`| primary: proposal; backup: first consensus msg for the slot | local commit |
+//! | `phase.commit_execute`   | local commit                        | execution applied         |
+//! | `phase.execute_reply`    | execution submitted/applied         | client replies sent       |
+//! | `phase.cst_forward`      | cst locally committed               | Forward evidence complete |
+//! | `phase.cst_execute`      | Forward evidence complete           | cst executed              |
+//!
+//! Each clock lives on the record whose lifetime it shares — the
+//! batching pool, the per-sequence work slot, the per-cst state — and
+//! is dropped with it.
 //!
 //! `phase.execute_reply` opens at execution-stage *submission* for
 //! single-shard batches (so an async pipeline's stage latency is
@@ -43,7 +47,8 @@ const TRACE_CAPACITY: usize = 4096;
 pub enum Phase {
     /// Request arrival → batch proposed.
     Admission,
-    /// First consensus message for a slot → local commit.
+    /// The primary's proposal, or a backup's first consensus message
+    /// for the slot → local commit.
     PreprepareCommit,
     /// Local commit → execution applied to the store.
     CommitExecute,

@@ -462,7 +462,7 @@ fn main() {
         }
         for rt in &runtimes {
             let s = rt.stats();
-            let execs = rt.exec_log().len();
+            let execs = rt.executed_batches();
             let completions = rt.with_node(|n| match n {
                 AnyNode::Client(c) => c.completions.len(),
                 _ => 0,

@@ -45,7 +45,6 @@ use ringbft_crypto::KeyStore;
 use ringbft_types::wire;
 use ringbft_types::{ClientId, NodeId, ReplicaId, ShardId, TraceContext};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Frame magic: `"RBFT"` little-endian.
@@ -249,13 +248,23 @@ pub fn encode_body<M: Serialize>(
 pub fn frame_prefix(from: NodeId, to: NodeId, body: &[u8], auth: &FrameAuth) -> [u8; PREFIX_BYTES] {
     let addr = encode_addr(to);
     let mac = auth.data_tag(from, to, &addr, body);
+    prefix_with(0, &addr, &mac, body.len())
+}
+
+/// Lays out header + address + MAC for a body of `body_len` bytes.
+fn prefix_with(
+    flags: u16,
+    addr: &[u8; ADDR_BYTES],
+    mac: &[u8; FRAME_MAC_BYTES],
+    body_len: usize,
+) -> [u8; PREFIX_BYTES] {
     let mut prefix = [0u8; PREFIX_BYTES];
     prefix[0..4].copy_from_slice(&MAGIC.to_le_bytes());
     prefix[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    prefix[6..8].copy_from_slice(&0u16.to_le_bytes());
-    prefix[8..12].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    prefix[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES].copy_from_slice(&addr);
-    prefix[HEADER_BYTES + ADDR_BYTES..].copy_from_slice(&mac);
+    prefix[6..8].copy_from_slice(&flags.to_le_bytes());
+    prefix[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
+    prefix[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES].copy_from_slice(addr);
+    prefix[HEADER_BYTES + ADDR_BYTES..].copy_from_slice(mac);
     prefix
 }
 
@@ -296,8 +305,6 @@ pub enum Frame<M> {
 /// Decoding/encoding failures.
 #[derive(Debug)]
 pub enum CodecError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
     /// The peer sent a frame with the wrong magic.
     BadMagic(u32),
     /// The peer speaks a frame version we do not.
@@ -316,7 +323,6 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Io(e) => write!(f, "frame i/o: {e}"),
             CodecError::BadMagic(m) => write!(f, "bad frame magic {m:#010x}"),
             CodecError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             CodecError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds cap"),
@@ -328,23 +334,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl From<std::io::Error> for CodecError {
-    fn from(e: std::io::Error) -> CodecError {
-        CodecError::Io(e)
-    }
-}
-
-impl CodecError {
-    /// True when the error is a clean end-of-stream (peer closed between
-    /// frames) rather than corruption.
-    pub fn is_clean_eof(&self) -> bool {
-        matches!(self, CodecError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
-    }
-}
-
-/// Decodes and MAC-verifies one complete frame body. Shared by the
-/// blocking reader ([`read_any_frame`]) and the reactor's incremental
-/// [`FrameAssembler`] so both paths enforce identical authentication.
+/// Decodes and MAC-verifies one complete frame body. Shared by
+/// [`FrameAssembler::next_frame`] and the deferred [`decode_raw_frame`]
+/// so both paths enforce identical authentication.
 fn decode_body<M: Deserialize>(
     flags: u16,
     addr: &[u8; ADDR_BYTES],
@@ -379,7 +371,7 @@ fn decode_body<M: Deserialize>(
 ///
 /// This is the unit of work the verify/hash pipeline stage moves off
 /// the reactor thread: extraction (cheap, needs the stream cursor) runs
-/// on the reactor via [`FrameAssembler::next_raw_frame`]; verification
+/// on the reactor via [`FrameAssembler::next_raw_frame_in`]; verification
 /// (HMAC + deserialize, the expensive part) runs wherever
 /// [`decode_raw_frame`] is called — a worker pool under
 /// `pipeline_workers > 0`, the reactor itself otherwise.
@@ -440,9 +432,8 @@ fn parse_header(bytes: &[u8]) -> Result<(u16, usize), CodecError> {
 /// This is the reactor's read path: a nonblocking `read` may deliver
 /// half a header, a header plus part of a body, or several frames at
 /// once — the assembler buffers until a complete
-/// `header + MAC + body` is present, then decodes and verifies it with
-/// the exact same rules as the blocking [`read_any_frame`]. The header
-/// is validated as soon as it is complete, so a corrupt peer is
+/// `header + MAC + body` is present, then decodes and verifies it. The
+/// header is validated as soon as it is complete, so a corrupt peer is
 /// rejected before its declared body length allocates anything.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
@@ -507,17 +498,12 @@ impl FrameAssembler {
     /// happen later via [`decode_raw_frame`] (on a verify worker).
     /// Errors carry the same meaning as [`FrameAssembler::next_frame`]:
     /// the stream is unrecoverable and the connection must be dropped.
-    pub fn next_raw_frame(&mut self) -> Result<Option<RawFrame>, CodecError> {
-        let mut scratch = Vec::new();
-        self.next_raw_frame_in(&mut scratch)
-    }
-
-    /// Like [`FrameAssembler::next_raw_frame`], but moves the body into
-    /// `scratch` (cleared first) instead of a fresh allocation — the
-    /// reactor feeds pooled buffers here so the steady-state offload
-    /// path performs no per-frame allocs. On a complete frame, `scratch`
-    /// is taken (left empty); on `Ok(None)` or error it is untouched and
-    /// the caller keeps it for the next call.
+    ///
+    /// The body moves into `scratch` (cleared first) instead of a fresh
+    /// allocation — the reactor feeds pooled buffers here so the
+    /// steady-state offload path performs no per-frame allocs. On a
+    /// complete frame, `scratch` is taken (left empty); on `Ok(None)` or
+    /// error it is untouched and the caller keeps it for the next call.
     pub fn next_raw_frame_in(
         &mut self,
         scratch: &mut Vec<u8>,
@@ -549,48 +535,6 @@ impl FrameAssembler {
     }
 }
 
-fn frame_with(
-    flags: u16,
-    addr: [u8; ADDR_BYTES],
-    mac: [u8; 32],
-    body: Vec<u8>,
-) -> Result<Vec<u8>, CodecError> {
-    if body.len() as u64 > MAX_FRAME_BYTES as u64 {
-        // Refuse rather than panic: the runtime drops-and-counts
-        // unencodable messages, and a frozen replica would be worse
-        // than a lost frame.
-        return Err(CodecError::Oversized(body.len() as u64));
-    }
-    let mut frame = Vec::with_capacity(PREFIX_BYTES + body.len());
-    frame.extend_from_slice(&MAGIC.to_le_bytes());
-    frame.extend_from_slice(&VERSION.to_le_bytes());
-    frame.extend_from_slice(&flags.to_le_bytes());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&addr);
-    frame.extend_from_slice(&mac);
-    frame.extend_from_slice(&body);
-    Ok(frame)
-}
-
-/// Encodes one data frame (header + address + MAC + body) into a fresh
-/// contiguous buffer. Convenience for unicast/blocking paths and tests;
-/// the reactor's broadcast path uses [`encode_body`] + [`frame_prefix`]
-/// to share the body bytes across destinations.
-pub fn encode_frame<M: Serialize>(
-    env: &Envelope<M>,
-    auth: &FrameAuth,
-) -> Result<Vec<u8>, CodecError> {
-    let body = bincode::serialize(&BodyRef {
-        from: env.from,
-        msg: &env.msg,
-        trace: &env.trace,
-    })
-    .map_err(CodecError::Body)?;
-    let addr = encode_addr(env.to);
-    let mac = auth.data_tag(env.from, env.to, &addr, &body);
-    frame_with(0, addr, mac, body)
-}
-
 /// Encodes a [`Hello`] control frame addressed to `receiver` (the peer
 /// being dialled; Hello MACs bind the connection's two endpoints). The
 /// address field names the receiver, mirroring data frames.
@@ -600,57 +544,14 @@ pub fn encode_hello_frame(
     receiver: NodeId,
 ) -> Result<Vec<u8>, CodecError> {
     let body = bincode::serialize(hello).map_err(CodecError::Body)?;
+    if body.len() as u64 > MAX_FRAME_BYTES as u64 {
+        return Err(CodecError::Oversized(body.len() as u64));
+    }
     let addr = encode_addr(receiver);
     let mac = auth.hello_tag(hello.node, receiver, &addr, &body);
-    frame_with(FLAG_HELLO, addr, mac, body)
-}
-
-/// Writes one frame to `w` (flushes).
-pub fn write_frame<M: Serialize, W: Write>(
-    w: &mut W,
-    env: &Envelope<M>,
-    auth: &FrameAuth,
-) -> Result<usize, CodecError> {
-    let frame = encode_frame(env, auth)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(frame.len())
-}
-
-/// Reads one frame (data or control) from `r`, blocking until a full
-/// frame arrives, and verifies its authenticator. `local` is the
-/// reading node's identity (Hello MACs bind to the receiver; data MACs
-/// bind to the envelope's own endpoints).
-pub fn read_any_frame<M: Deserialize, R: Read>(
-    r: &mut R,
-    auth: &FrameAuth,
-    local: NodeId,
-) -> Result<Frame<M>, CodecError> {
-    let mut header = [0u8; HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    let (flags, len) = parse_header(&header)?;
-    let mut addr = [0u8; ADDR_BYTES];
-    r.read_exact(&mut addr)?;
-    let mut mac = [0u8; FRAME_MAC_BYTES];
-    r.read_exact(&mut mac)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(flags, &addr, &mac, &body, auth, local)
-}
-
-/// Reads one *data* frame from `r`; control frames are an error. Kept
-/// for callers that only speak protocol traffic (tests, tools).
-pub fn read_frame<M: Deserialize, R: Read>(
-    r: &mut R,
-    auth: &FrameAuth,
-    local: NodeId,
-) -> Result<Envelope<M>, CodecError> {
-    match read_any_frame(r, auth, local)? {
-        Frame::Data(env) => Ok(env),
-        Frame::Hello(_) => Err(CodecError::Body(bincode::Error::from(
-            serde::Error::invalid("unexpected control frame"),
-        ))),
-    }
+    let mut frame = prefix_with(FLAG_HELLO, &addr, &mac, body.len()).to_vec();
+    frame.extend_from_slice(&body);
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -691,6 +592,22 @@ mod tests {
         }
     }
 
+    /// One data frame as the reactor sends it: the shared body behind
+    /// its per-destination prefix.
+    fn data_frame(env: &Envelope<AnyMsg>, auth: &FrameAuth) -> Vec<u8> {
+        let body = encode_body(env.from, &env.msg, &env.trace).unwrap();
+        let mut frame = frame_prefix(env.from, env.to, &body, auth).to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// The first frame a fresh assembler extracts from `bytes`.
+    fn decode(bytes: &[u8], local: NodeId) -> Result<Option<Frame<AnyMsg>>, CodecError> {
+        let mut asm = FrameAssembler::new();
+        asm.extend(bytes);
+        asm.next_frame(&auth(), local)
+    }
+
     /// A data-frame prefix (header, address, MAC over a 150-byte body)
     /// is pinned byte for byte to its value before the HMAC kept key
     /// midstates and the hasher gained a hardware block function.
@@ -715,32 +632,30 @@ mod tests {
     #[test]
     fn frame_round_trips() {
         let env = sample_env();
-        let frame = encode_frame(&env, &auth()).unwrap();
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth(), receiver()).unwrap();
-        assert_eq!(decoded, env);
+        let decoded = decode(&data_frame(&env, &auth()), receiver()).unwrap();
+        assert!(matches!(decoded, Some(Frame::Data(d)) if d == env));
     }
 
     #[test]
     fn header_is_versioned() {
         let env = sample_env();
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[4] = 99; // version
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadVersion(99)));
 
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[0] ^= 0xff; // magic
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMagic(_)));
     }
 
     #[test]
     fn oversized_frames_rejected_before_allocation() {
         let env = sample_env();
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::Oversized(_)));
     }
 
@@ -748,20 +663,20 @@ mod tests {
     fn tampered_body_or_mac_is_rejected() {
         let env = sample_env();
         // Flip one bit of the MAC.
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[HEADER_BYTES + ADDR_BYTES] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
         // Flip one bit of the destination address: the MAC covers it.
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[HEADER_BYTES + 1] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
         // Flip one bit of the body.
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         let last = frame.len() - 1;
         frame[last] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
     }
 
@@ -771,18 +686,17 @@ mod tests {
         // makes a data tag useless for a Hello frame: an on-path
         // tamperer flipping FLAG_HELLO must not plant a route.
         let env = sample_env();
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[6] |= FLAG_HELLO as u8;
-        let err =
-            read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
     }
 
     #[test]
     fn wrong_auth_seed_is_rejected() {
         let env = sample_env();
-        let frame = encode_frame(&env, &FrameAuth::from_seed(1)).unwrap();
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let frame = data_frame(&env, &FrameAuth::from_seed(1));
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
     }
 
@@ -794,24 +708,29 @@ mod tests {
             listen_port: 4242,
         };
         let frame = encode_hello_frame(&hello, &auth(), receiver()).unwrap();
-        let decoded = read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver());
-        assert!(matches!(decoded, Ok(Frame::Hello(h)) if h == hello));
+        let decoded = decode(&frame, receiver());
+        assert!(matches!(decoded, Ok(Some(Frame::Hello(h))) if h == hello));
         // A different receiver must not accept it (wrong pair key).
         let other = NodeId::Replica(ReplicaId::new(ShardId(2), 3));
-        let err = read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), other).unwrap_err();
+        let err = decode(&frame, other).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
     }
 
     #[test]
-    fn truncated_stream_is_clean_eof_between_frames() {
-        let err = read_frame::<AnyMsg, _>(&mut [].as_slice(), &auth(), receiver()).unwrap_err();
-        assert!(err.is_clean_eof());
+    fn truncated_stream_waits_for_more_bytes() {
+        let frame = data_frame(&sample_env(), &auth());
+        for cut in [0, HEADER_BYTES, PREFIX_BYTES, frame.len() - 1] {
+            assert!(
+                decode(&frame[..cut], receiver()).unwrap().is_none(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
     fn assembler_reassembles_frames_across_split_reads() {
         let env = sample_env();
-        let frame = encode_frame(&env, &auth()).unwrap();
+        let frame = data_frame(&env, &auth());
         // Feed the frame one byte at a time: no prefix may yield a
         // frame, the final byte must yield exactly one.
         let mut asm = FrameAssembler::new();
@@ -839,7 +758,7 @@ mod tests {
             aliases: vec![NodeId::Client(ClientId(9))],
             listen_port: 4242,
         };
-        let mut stream = encode_frame(&env, &auth()).unwrap();
+        let mut stream = data_frame(&env, &auth());
         stream.extend_from_slice(&encode_hello_frame(&hello, &auth(), receiver()).unwrap());
         for cut in 0..=stream.len() {
             let mut asm = FrameAssembler::new();
@@ -860,10 +779,12 @@ mod tests {
     #[test]
     fn raw_extraction_defers_mac_and_decode() {
         let env = sample_env();
-        let frame = encode_frame(&env, &auth()).unwrap();
         let mut asm = FrameAssembler::new();
-        asm.extend(&frame);
-        let raw = asm.next_raw_frame().unwrap().expect("complete frame");
+        asm.extend(&data_frame(&env, &auth()));
+        let raw = asm
+            .next_raw_frame_in(&mut Vec::new())
+            .unwrap()
+            .expect("complete frame");
         assert!(!raw.is_hello());
         assert_eq!(asm.buffered(), 0);
         // The deferred decode enforces the same authentication.
@@ -882,11 +803,11 @@ mod tests {
     #[test]
     fn raw_extraction_validates_headers_eagerly() {
         let env = sample_env();
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[4] = 99; // version
         let mut asm = FrameAssembler::new();
         asm.extend(&frame);
-        let err = asm.next_raw_frame().unwrap_err();
+        let err = asm.next_raw_frame_in(&mut Vec::new()).unwrap_err();
         assert!(matches!(err, CodecError::BadVersion(99)));
 
         // A Hello extracts with the flag visible, so the reactor can
@@ -898,7 +819,10 @@ mod tests {
         };
         let mut asm = FrameAssembler::new();
         asm.extend(&encode_hello_frame(&hello, &auth(), receiver()).unwrap());
-        let raw = asm.next_raw_frame().unwrap().expect("complete frame");
+        let raw = asm
+            .next_raw_frame_in(&mut Vec::new())
+            .unwrap()
+            .expect("complete frame");
         assert!(raw.is_hello());
         let decoded = decode_raw_frame::<AnyMsg>(&raw, &auth(), receiver()).unwrap();
         assert!(matches!(decoded, Frame::Hello(h) if h == hello));
@@ -907,44 +831,34 @@ mod tests {
     #[test]
     fn assembler_rejects_corruption_without_waiting_for_the_body() {
         let env = sample_env();
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[0] ^= 0xff; // magic
-        let mut asm = FrameAssembler::new();
-        // The frame prefix alone is enough to reject — the (possibly
-        // huge) declared body never needs to arrive.
-        asm.extend(&frame[..PREFIX_BYTES]);
-        let err = asm.next_frame::<AnyMsg>(&auth(), receiver()).unwrap_err();
+                          // The frame prefix alone is enough to reject — the (possibly
+                          // huge) declared body never needs to arrive.
+        let err = decode(&frame[..PREFIX_BYTES], receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMagic(_)));
 
-        let mut frame = encode_frame(&env, &auth()).unwrap();
+        let mut frame = data_frame(&env, &auth());
         frame[HEADER_BYTES + ADDR_BYTES] ^= 1; // MAC bit
-        let mut asm = FrameAssembler::new();
-        asm.extend(&frame);
-        let err = asm.next_frame::<AnyMsg>(&auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
     }
 
     #[test]
-    fn shared_body_plus_prefix_equals_unicast_encoding() {
-        // The serialize-once path (encode_body + frame_prefix per peer)
-        // must emit byte-identical frames to the unicast encoder, so
-        // every decoder accepts either interchangeably.
+    fn shared_body_serves_every_destination() {
+        // A second destination reuses the same body bytes; only the
+        // prefix differs, and both decode to their own destination.
         let env = sample_env();
         let body = encode_body(env.from, &env.msg, &env.trace).unwrap();
         let prefix = frame_prefix(env.from, env.to, &body, &auth());
-        let mut fanned = prefix.to_vec();
-        fanned.extend_from_slice(&body);
-        assert_eq!(fanned, encode_frame(&env, &auth()).unwrap());
-
-        // A second destination reuses the same body bytes; only the
-        // prefix differs, and both decode to their own destination.
         let other = NodeId::Replica(ReplicaId::new(ShardId(2), 3));
         let prefix2 = frame_prefix(env.from, other, &body, &auth());
         assert_ne!(prefix[HEADER_BYTES..], prefix2[HEADER_BYTES..]);
         let mut frame2 = prefix2.to_vec();
         frame2.extend_from_slice(&body);
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame2.as_slice(), &auth(), receiver()).unwrap();
+        let Some(Frame::Data(decoded)) = decode(&frame2, receiver()).unwrap() else {
+            panic!("data frame expected");
+        };
         assert_eq!(decoded.to, other);
         assert_eq!(decoded.msg, env.msg);
     }
@@ -952,7 +866,7 @@ mod tests {
     #[test]
     fn pooled_raw_extraction_takes_and_returns_scratch() {
         let env = sample_env();
-        let frame = encode_frame(&env, &auth()).unwrap();
+        let frame = data_frame(&env, &auth());
         let mut asm = FrameAssembler::new();
         // A partial frame leaves the scratch buffer with the caller.
         asm.extend(&frame[..PREFIX_BYTES]);

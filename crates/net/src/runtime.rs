@@ -325,17 +325,6 @@ impl Default for NetObs {
     }
 }
 
-/// An `Executed` record observed by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecEvent {
-    /// When it happened (runtime timeline).
-    pub at: Instant,
-    /// Shard-local sequence number.
-    pub seq: u64,
-    /// Transactions in the executed batch.
-    pub txns: u32,
-}
-
 /// A telemetry route handler: maps a request path (`"/metrics"`,
 /// `"/trace"`) to `(content_type, body)`, or `None` for a 404.
 ///
@@ -417,8 +406,10 @@ pub(crate) struct Shared<M> {
     pub(crate) dirty: Vec<Mutex<HashSet<NodeId>>>,
     /// Accepted connections awaiting adoption by their reactor shard.
     pub(crate) handoff: Vec<Mutex<VecDeque<TcpStream>>>,
-    pub(crate) exec_log: Mutex<Vec<ExecEvent>>,
-    pub(crate) view_log: Mutex<Vec<(Instant, u64)>>,
+    /// Batches the hosted node reported executed (`Action::Executed`).
+    pub(crate) executed_batches: AtomicU64,
+    /// View changes the hosted node reported (`Action::ViewChanged`).
+    pub(crate) view_changes: AtomicU64,
     /// Content-aware inbound fault injection: a frame for which the
     /// filter returns true is counted and discarded before delivery —
     /// the TCP twin of the simulator's `World::set_drop_filter`, used by
@@ -698,8 +689,8 @@ where
             outq: Mutex::new(HashMap::new()),
             dirty: (0..nshards).map(|_| Mutex::new(HashSet::new())).collect(),
             handoff: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            exec_log: Mutex::new(Vec::new()),
-            view_log: Mutex::new(Vec::new()),
+            executed_batches: AtomicU64::new(0),
+            view_changes: AtomicU64::new(0),
             inbound_filter: Mutex::new(None),
             inbound_filter_armed: AtomicBool::new(false),
             telemetry: Mutex::new(TelemetryState {
@@ -880,14 +871,14 @@ where
         Ok(addr)
     }
 
-    /// Copy of the `Executed` log.
-    pub fn exec_log(&self) -> Vec<ExecEvent> {
-        self.shared.exec_log.lock().expect("exec log").clone()
+    /// Batches the hosted node has executed so far.
+    pub fn executed_batches(&self) -> u64 {
+        self.shared.executed_batches.load(Ordering::Relaxed)
     }
 
-    /// Copy of the view-change log.
-    pub fn view_log(&self) -> Vec<(Instant, u64)> {
-        self.shared.view_log.lock().expect("view log").clone()
+    /// View changes the hosted node has entered so far.
+    pub fn view_changes(&self) -> u64 {
+        self.shared.view_changes.load(Ordering::Relaxed)
     }
 
     /// Stops the reactor threads and tears the node down, returning it.

@@ -1,5 +1,7 @@
 //! Property test: arbitrary `AnyMsg` values survive a full
-//! encode → frame → decode round trip bit-identically.
+//! encode → frame → decode round trip bit-identically, on the path the
+//! reactor runs: `encode_body` + `frame_prefix` out, `FrameAssembler`
+//! in. The MAC, truncation and corruption rules are checked there too.
 //!
 //! Generators build messages bottom-up (transactions → batches →
 //! protocol messages) over all three protocol families, covering every
@@ -11,7 +13,7 @@ use proptest::TestRng;
 use ringbft_baselines::ShardedMsg;
 use ringbft_core::{ExecuteMsg, ForwardMsg, RingMsg};
 use ringbft_net::codec::{
-    encode_body, encode_frame, frame_prefix, read_frame, Envelope, FrameAuth, ADDR_BYTES,
+    encode_body, frame_prefix, CodecError, Envelope, Frame, FrameAssembler, FrameAuth, ADDR_BYTES,
     HEADER_BYTES,
 };
 use ringbft_pbft::{PbftMsg, PreparedProof};
@@ -24,6 +26,34 @@ use ringbft_types::{
     BatchId, ClientId, NodeId, ReplicaId, SeqNum, ShardId, TraceContext, TxnId, ViewNum,
 };
 use std::sync::Arc;
+
+/// One data frame as the reactor sends it: the shared body behind its
+/// per-destination prefix.
+fn encode(env: &Envelope<AnyMsg>, auth: &FrameAuth) -> Vec<u8> {
+    let body = encode_body(env.from, &env.msg, &env.trace).expect("encode body");
+    let mut frame = frame_prefix(env.from, env.to, &body, auth).to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// The first frame a fresh assembler extracts from `bytes` for `local`.
+fn decode(
+    bytes: &[u8],
+    auth: &FrameAuth,
+    local: NodeId,
+) -> Result<Option<Frame<AnyMsg>>, CodecError> {
+    let mut asm = FrameAssembler::new();
+    asm.extend(bytes);
+    asm.next_frame(auth, local)
+}
+
+/// Decodes one complete, valid data frame.
+fn decode_data(bytes: &[u8], auth: &FrameAuth, local: NodeId) -> Envelope<AnyMsg> {
+    match decode(bytes, auth, local).expect("decode") {
+        Some(Frame::Data(env)) => env,
+        other => panic!("expected a data frame, got {other:?}"),
+    }
+}
 
 fn arb_u64(rng: &mut TestRng, bound: u64) -> u64 {
     Strategy::generate(&(0..bound), rng)
@@ -362,14 +392,12 @@ proptest! {
             msg: arb_any_msg(&mut rng),
             trace: arb_trace(&mut rng),
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let frame = encode(&env, &auth);
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(&decoded, &env);
 
         // Re-encoding is deterministic (stable bytes for dedup/signing).
-        let frame2 = encode_frame(&decoded, &auth).expect("re-encode");
-        prop_assert_eq!(frame, frame2);
+        prop_assert_eq!(frame, encode(&decoded, &auth));
     }
 
     /// Recovery messages (state transfer) survive the codec verbatim.
@@ -383,9 +411,7 @@ proptest! {
             msg: AnyMsg::Ring(RingMsg::Recovery(arb_recovery(&mut rng))),
             trace: arb_trace(&mut rng),
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&encode(&env, &auth), &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -423,9 +449,7 @@ proptest! {
             msg: AnyMsg::Ring(RingMsg::Recovery(msg)),
             trace: arb_trace(&mut rng),
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&encode(&env, &auth), &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -456,9 +480,7 @@ proptest! {
             msg: AnyMsg::Ring(RingMsg::Recovery(msg)),
             trace: arb_trace(&mut rng),
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&encode(&env, &auth), &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -485,9 +507,7 @@ proptest! {
             msg: arb_any_msg(&mut rng),
             trace,
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&encode(&env, &auth), &auth, env.to);
         prop_assert_eq!(decoded.trace, trace);
         // Saturating the hop counter must be a fixed point, so relay
         // loops cannot overflow it back to a plausible small value.
@@ -495,33 +515,6 @@ proptest! {
             if t.hop == u32::MAX {
                 prop_assert_eq!(t.next_hop().hop, u32::MAX);
             }
-        }
-    }
-
-    /// Codec v6 serialize-once fan-out: one `encode_body` plus a
-    /// per-destination `frame_prefix` yields byte-identical frames to
-    /// the per-destination `encode_frame` path, for arbitrary traffic
-    /// and arbitrary destination sets — so the zero-copy broadcast can
-    /// never change what lands on the wire.
-    #[test]
-    fn shared_body_fanout_matches_unicast_frames(seed in 0u64..u64::MAX, fanout in 1u64..6) {
-        let mut rng = proptest::rng_for(&format!("codec-fanout-{seed}"));
-        let auth = FrameAuth::from_seed(0);
-        let from = arb_node(&mut rng);
-        let msg = arb_any_msg(&mut rng);
-        let trace = arb_trace(&mut rng);
-        let body = encode_body(from, &msg, &trace).expect("encode body");
-        for _ in 0..fanout {
-            let to = arb_node(&mut rng);
-            let prefix = frame_prefix(from, to, &body, &auth);
-            let mut shared = prefix.to_vec();
-            shared.extend_from_slice(&body);
-            let env = Envelope { from, to, msg: msg.clone(), trace };
-            let unicast = encode_frame(&env, &auth).expect("encode frame");
-            prop_assert_eq!(&shared, &unicast, "fan-out frame diverged for {:?}", to);
-            let decoded: Envelope<AnyMsg> =
-                read_frame(&mut shared.as_slice(), &auth, to).expect("decode");
-            prop_assert_eq!(decoded, env);
         }
     }
 
@@ -540,19 +533,18 @@ proptest! {
         prop_assume!(to_a != to_b);
         let msg = arb_any_msg(&mut rng);
         let trace = arb_trace(&mut rng);
-        let frame_a = encode_frame(&Envelope { from, to: to_a, msg: msg.clone(), trace }, &auth)
-            .expect("encode A");
-        let frame_b = encode_frame(&Envelope { from, to: to_b, msg, trace }, &auth)
-            .expect("encode B");
+        let frame_a = encode(&Envelope { from, to: to_a, msg: msg.clone(), trace }, &auth);
+        let frame_b = encode(&Envelope { from, to: to_b, msg, trace }, &auth);
         // Splice B's addressing into A's frame, keeping A's MAC and body.
         let mut forged = frame_a;
         forged[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES]
             .copy_from_slice(&frame_b[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES]);
-        let r = read_frame::<AnyMsg, _>(&mut forged.as_slice(), &auth, to_b);
+        let r = decode(&forged, &auth, to_b);
         prop_assert!(r.is_err(), "re-addressed frame accepted by {:?}", to_b);
     }
 
-    /// Truncating a frame anywhere is detected, never mis-decoded.
+    /// A frame truncated anywhere is never decoded: the assembler waits
+    /// for the missing bytes (`Ok(None)`) instead of guessing.
     #[test]
     fn truncation_always_detected(seed in 0u64..u64::MAX, cut_frac in 0u64..1000) {
         let mut rng = proptest::rng_for(&format!("codec-trunc-{seed}"));
@@ -563,11 +555,11 @@ proptest! {
             msg: arb_any_msg(&mut rng),
             trace: arb_trace(&mut rng),
         };
-        let frame = encode_frame(&env, &auth).expect("encode");
+        let frame = encode(&env, &auth);
         let cut = (frame.len() as u64 * cut_frac / 1000) as usize;
         prop_assume!(cut < frame.len());
-        let r = read_frame::<AnyMsg, _>(&mut frame[..cut].as_ref(), &auth, env.to);
-        prop_assert!(r.is_err(), "truncated frame decoded at {} bytes", cut);
+        let r = decode(&frame[..cut], &auth, env.to);
+        prop_assert!(matches!(r, Ok(None)), "truncated frame at {} bytes gave {:?}", cut, r);
     }
 
     /// Flipping any single byte of a frame is detected: the header
@@ -587,18 +579,17 @@ proptest! {
             msg: arb_any_msg(&mut rng),
             trace: arb_trace(&mut rng),
         };
-        let mut frame = encode_frame(&env, &auth).expect("encode");
+        let mut frame = encode(&env, &auth);
         let pos = (frame.len() as u64 * pos_frac / 1000) as usize;
         prop_assume!(pos < frame.len());
         frame[pos] ^= 1 << bit;
-        match read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth, env.to) {
-            Err(_) => {}
-            Ok(decoded) => {
-                // A flip inside a length prefix can re-frame the body;
-                // but an *accepted* frame must only ever be the
-                // original (the MAC covers the body bytes).
-                prop_assert_eq!(decoded, env);
-            }
+        match decode(&frame, &auth, env.to) {
+            // Rejected, or (a flip that grew the length field) still
+            // waiting for bytes that never come.
+            Err(_) | Ok(None) => {}
+            // An *accepted* frame must only ever be the original (the
+            // MAC covers the address and body bytes).
+            Ok(Some(decoded)) => prop_assert_eq!(decoded, Frame::Data(env)),
         }
     }
 }

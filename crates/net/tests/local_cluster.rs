@@ -233,7 +233,7 @@ fn two_shards_commit_all_transaction_classes_over_tcp() {
     // Both shards executed the cross-shard work.
     let executed_shards: HashSet<ShardId> = cluster
         .replica_runtimes()
-        .filter(|rt| !rt.exec_log().is_empty())
+        .filter(|rt| rt.executed_batches() > 0)
         .filter_map(|rt| rt.id().as_replica().map(|r| r.shard))
         .collect();
     assert!(
@@ -638,7 +638,7 @@ fn closed_loop_workload_sustains_throughput_over_tcp() {
     // or 2 executed (cross-shard traffic visits shards in ring order).
     let executed_shards: HashSet<ShardId> = cluster
         .replica_runtimes()
-        .filter(|rt| !rt.exec_log().is_empty())
+        .filter(|rt| rt.executed_batches() > 0)
         .filter_map(|rt| rt.id().as_replica().map(|r| r.shard))
         .collect();
     assert!(

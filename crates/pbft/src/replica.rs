@@ -127,11 +127,10 @@ struct Instance {
     commits: HashMap<Digest, BTreeSet<u32>>,
     prepared: bool,
     committed: bool,
-    /// When this replica first saw consensus traffic for the slot (the
-    /// pre-prepare, or the first vote to arrive — whichever came first).
-    /// Anchors the preprepare→commit phase timer; on the primary the
-    /// anchor is its first received vote, a one-delay approximation that
-    /// avoids threading wall time through `propose`.
+    /// When this replica first saw consensus traffic for the slot: its
+    /// own proposal on the primary; on a backup the pre-prepare, or the
+    /// first vote to arrive — whichever came first. Anchors the
+    /// preprepare→commit phase timer.
     first_seen: Option<Instant>,
 }
 
@@ -328,10 +327,11 @@ impl PbftCore {
         (self.next_seq - 1).saturating_sub(self.committed_through)
     }
 
-    /// When this replica first saw consensus traffic for `seq` (the
-    /// pre-prepare or the earliest vote). `None` for unknown slots and for
-    /// instances installed from a commit certificate (hole fetch), which
-    /// never ran the local three-phase exchange — phase timers skip those.
+    /// When this replica first saw consensus traffic for `seq` (its own
+    /// proposal, the pre-prepare or the earliest vote). `None` for
+    /// unknown slots and for instances installed from a commit
+    /// certificate (hole fetch), which never ran the local three-phase
+    /// exchange — phase timers skip those.
     pub fn consensus_started_at(&self, seq: SeqNum) -> Option<Instant> {
         self.instances.get(&seq.0).and_then(|i| i.first_seen)
     }
@@ -427,10 +427,12 @@ impl PbftCore {
             .map(move |i| NodeId::Replica(ReplicaId::new(me.shard, i)))
     }
 
-    /// Primary proposes a batch. Returns the sequence number it assigned,
-    /// or `None` if this replica is not currently allowed to propose.
+    /// Primary proposes a batch at time `now`. Returns the sequence
+    /// number it assigned, or `None` if this replica is not currently
+    /// allowed to propose.
     pub fn propose(
         &mut self,
+        now: Instant,
         batch: Arc<Batch>,
         out: &mut Outbox<PbftMsg>,
         events: &mut Vec<PbftEvent>,
@@ -451,6 +453,7 @@ impl PbftCore {
         out.multicast(self.others(), &msg);
         // The primary's pre-prepare doubles as its prepare vote.
         let inst = self.instances.entry(seq.0).or_default();
+        inst.first_seen.get_or_insert(now);
         inst.view = self.view;
         inst.digest = Some(digest);
         inst.batch = Some(batch);

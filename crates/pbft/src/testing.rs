@@ -91,11 +91,12 @@ impl TestCluster {
         }
     }
 
-    /// Primary at `idx` proposes `batch`.
+    /// Primary at `idx` proposes `batch`. The cluster has no clock:
+    /// every event happens at `Instant::ZERO`.
     pub fn propose(&mut self, idx: u32, batch: std::sync::Arc<ringbft_types::Batch>) {
         let mut out = Outbox::new();
         let mut events = Vec::new();
-        self.cores[idx as usize].propose(batch, &mut out, &mut events);
+        self.cores[idx as usize].propose(Instant::ZERO, batch, &mut out, &mut events);
         for e in events {
             self.events.push((idx, e));
         }

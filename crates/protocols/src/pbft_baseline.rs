@@ -100,7 +100,7 @@ impl PbftBaseline {
             self.drive(
                 now,
                 |p, po, ev| {
-                    p.propose(batch, po, ev);
+                    p.propose(now, batch, po, ev);
                 },
                 out,
             );
@@ -119,7 +119,7 @@ impl PbftBaseline {
                 self.drive(
                     now,
                     |p, po, ev| {
-                        p.propose(batch, po, ev);
+                        p.propose(now, batch, po, ev);
                     },
                     out,
                 );

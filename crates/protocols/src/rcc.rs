@@ -103,7 +103,7 @@ impl RccReplica {
     /// Handles a message.
     pub fn on_message(&mut self, now: Instant, from: NodeId, msg: SsMsg, out: &mut Outbox<SsMsg>) {
         match msg {
-            SsMsg::Request { txn, .. } => self.on_request(txn, out),
+            SsMsg::Request { txn, .. } => self.on_request(now, txn, out),
             SsMsg::Rcc { stream, msg } => {
                 let NodeId::Replica(r) = from else { return };
                 let stream = stream as usize;
@@ -116,14 +116,14 @@ impl RccReplica {
         }
     }
 
-    fn on_request(&mut self, txn: Arc<Transaction>, out: &mut Outbox<SsMsg>) {
+    fn on_request(&mut self, now: Instant, txn: Arc<Transaction>, out: &mut Outbox<SsMsg>) {
         // Multi-primary: pool locally and propose into our own stream.
         if let Some(batch) = self.pool.push((*txn).clone()) {
             let stream = self.own_stream();
             self.drive(
                 stream,
                 |p, po, ev| {
-                    p.propose(batch, po, ev);
+                    p.propose(now, batch, po, ev);
                 },
                 out,
             );
@@ -135,13 +135,7 @@ impl RccReplica {
     }
 
     /// Handles a timer.
-    pub fn on_timer(
-        &mut self,
-        _now: Instant,
-        kind: TimerKind,
-        token: u64,
-        out: &mut Outbox<SsMsg>,
-    ) {
+    pub fn on_timer(&mut self, now: Instant, kind: TimerKind, token: u64, out: &mut Outbox<SsMsg>) {
         if kind == TimerKind::Client && token == FLUSH_TOKEN {
             self.flush_armed = false;
             if let Some(batch) = self.pool.cut() {
@@ -149,7 +143,7 @@ impl RccReplica {
                 self.drive(
                     stream,
                     |p, po, ev| {
-                        p.propose(batch, po, ev);
+                        p.propose(now, batch, po, ev);
                     },
                     out,
                 );
